@@ -13,7 +13,8 @@ import pytest
 
 from repro import synth_data
 from repro.bench.fig8 import WINDOW_MS, fig8_table, run_fig8
-from repro.core.engines import FlinkHoppingEngine, RailgunEngine
+from repro.core.engines import FlinkHoppingEngine
+from repro.core.task import TaskProcessor
 from repro.core.windows import MINUTE, SECOND
 
 RESULTS = os.path.join(os.path.dirname(__file__), "results")
@@ -56,11 +57,14 @@ def _bench_batches(benchmark, eng, *, batch=100, rounds=25):
 
 
 def test_micro_railgun_per_100_events(benchmark):
-    eng = RailgunEngine(
-        tempfile.mkdtemp(), aggs=("sum",), window_ms=WINDOW_MS,
+    tp = TaskProcessor(
+        "t",
+        ["SELECT sum(amount) FROM payments GROUP BY card_id "
+         f"OVER sliding {WINDOW_MS} ms"],
+        tempfile.mkdtemp(),
         reservoir_kwargs={"chunk_events": 512, "cache_chunks": 64},
     )
-    _bench_batches(benchmark, eng)
+    _bench_batches(benchmark, tp)
 
 
 @pytest.mark.parametrize("hop_ms", [5 * MINUTE, MINUTE, 10 * SECOND])

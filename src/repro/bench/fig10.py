@@ -175,15 +175,17 @@ def calibrate_unit_service(data_dir: str, n_events: int = 3_000, seed: int = 5) 
     sliding window. Returns raw measured seconds (shape source).
     """
     from .. import synth_data
-    from ..core.engines import RailgunEngine
-    from ..core.windows import MINUTE
+    from ..core.task import TaskProcessor
     from .harness import measure_services
 
-    eng = RailgunEngine(
-        data_dir, aggs=("sum", "avg", "count"), window_ms=5 * MINUTE,
+    tp = TaskProcessor(
+        "bench-task",
+        ["SELECT sum(amount), avg(amount), count(amount) FROM payments "
+         "GROUP BY card_id OVER sliding 5 minutes"],
+        data_dir,
         reservoir_kwargs={"chunk_events": 256, "cache_chunks": 64},
     )
     events = synth_data.payments_pdf(
         n=n_events, rate_hz=3125.0, n_cards=2000, seed=seed
     ).to_dict("records")
-    return measure_services(eng, events)
+    return measure_services(tp, events)

@@ -17,7 +17,8 @@ import os
 import pandas as pd
 
 from .. import synth_data
-from ..core.engines import FlinkHoppingEngine, FlinkRecomputeEngine, RailgunEngine
+from ..core.engines import FlinkHoppingEngine, FlinkRecomputeEngine
+from ..core.task import TaskProcessor
 from ..core.windows import MINUTE, SECOND
 from .harness import KafkaRTTModel, LatencyResult, run_engine
 
@@ -76,15 +77,18 @@ def run_fig8(
     history = make_history(seed)
     now_ts = int(history["ts"].max())
     results = []
-    eng = RailgunEngine(
-        os.path.join(data_dir, "railgun"), aggs=("sum",), window_ms=WINDOW_MS,
+    tp = TaskProcessor(
+        "bench-task",
+        ["SELECT sum(amount) FROM payments GROUP BY card_id "
+         f"OVER sliding {WINDOW_MS} ms"],
+        os.path.join(data_dir, "railgun"),
         reservoir_kwargs={"chunk_events": 512, "cache_chunks": 64},
     )
-    eng.tp.prefill(history.to_dict("records"))
-    eng.tp.warm_start(history, now_ts)
+    tp.prefill(history.to_dict("records"))
+    tp.warm_start(history, now_ts)
     results.append(
         run_engine(
-            eng, "railgun (sliding 60min)", events, rate_hz=RATE_HZ,
+            tp, "railgun (sliding 60min)", events, rate_hz=RATE_HZ,
             rtt=rtt, seed=seed, extra={"hop": "-", "panes": "-"},
         )
     )

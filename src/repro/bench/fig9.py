@@ -20,7 +20,7 @@ import os
 import pandas as pd
 
 from .. import synth_data
-from ..core.engines import RailgunEngine
+from ..core.task import TaskProcessor
 from ..core.windows import DAY, HOUR, MINUTE, SECOND
 from .harness import KafkaRTTModel, LatencyResult, run_engine
 
@@ -93,11 +93,11 @@ WARM_EVENTS = 1_200  # the paper discards a 5-min warm-up of each 35-min
 # cold demand miss) before the measured, virtual-time portion starts
 
 
-def _warm(eng, events: list[dict]) -> None:
+def _warm(tp: TaskProcessor, events: list[dict]) -> None:
     for e in events:
-        eng.process(e)
-    eng.take_costs()
-    eng.tp.reservoir.reset_stats()
+        tp.process(e)
+    tp.take_costs()
+    tp.reservoir.reset_stats()
 
 
 def run_fig9a(
@@ -116,24 +116,27 @@ def run_fig9a(
     run_span = int(events_pdf["ts"].max())
     results = []
     for label, w in sizes.items():
-        eng = RailgunEngine(
-            os.path.join(data_dir, f"fig9a-{label}"), aggs=("sum",), window_ms=w,
+        tp = TaskProcessor(
+            "bench-task",
+            ["SELECT sum(amount) FROM payments GROUP BY card_id "
+             f"OVER sliding {w} ms"],
+            os.path.join(data_dir, f"fig9a-{label}"),
             reservoir_kwargs={
                 "chunk_events": CHUNK_EVENTS, "cache_chunks": CACHE_CHUNKS,
                 **IO_SEEK,
             },
         )
         hist = _tail_history(run_span, [w], seed, RATE_HZ_A)
-        eng.tp.prefill(hist.to_dict("records"))
-        eng.tp.warm_start(hist, now_ts=0)
-        _warm(eng, events[:WARM_EVENTS])
+        tp.prefill(hist.to_dict("records"))
+        tp.warm_start(hist, now_ts=0)
+        _warm(tp, events[:WARM_EVENTS])
         res = run_engine(
-            eng, f"railgun (sliding {label})", events[WARM_EVENTS:],
+            tp, f"railgun (sliding {label})", events[WARM_EVENTS:],
             rate_hz=RATE_HZ_A,
             rtt=rtt, seed=seed,
             extra={"window": label},
         )
-        st = eng.stats()
+        st = tp.stats()
         res.extra.update(
             memory_events=st["memory_events"],
             iterators=st["iterators"],
@@ -177,27 +180,27 @@ def run_fig9b(
     results = []
     for n_iters, n_windows in counts.items():
         statements, offsets = _fig9b_statements(n_windows)
-        eng = RailgunEngine.from_statements(
-            os.path.join(data_dir, f"fig9b-{n_iters}"), statements,
+        tp = TaskProcessor(
+            "bench-task", statements, os.path.join(data_dir, f"fig9b-{n_iters}"),
             reservoir_kwargs={
                 "chunk_events": CHUNK_EVENTS, "cache_chunks": CACHE_CHUNKS,
                 **IO_SEEK,
             },
         )
-        assert eng.tp.plan.iterator_count == n_iters, (
-            eng.tp.plan.iterator_count, n_iters,
+        assert tp.plan.iterator_count == n_iters, (
+            tp.plan.iterator_count, n_iters,
         )
         hist = _tail_history(run_span, offsets, seed, RATE_HZ_B)
-        eng.tp.prefill(hist.to_dict("records"))
-        eng.tp.warm_start(hist, now_ts=0)
-        _warm(eng, events[:WARM_EVENTS])
+        tp.prefill(hist.to_dict("records"))
+        tp.warm_start(hist, now_ts=0)
+        _warm(tp, events[:WARM_EVENTS])
         res = run_engine(
-            eng, f"railgun ({n_windows} windows, {n_iters} iterators)",
+            tp, f"railgun ({n_windows} windows, {n_iters} iterators)",
             events[WARM_EVENTS:],
             rate_hz=RATE_HZ_B, rtt=rtt, seed=seed,
             extra={"windows": n_windows, "iterators": n_iters},
         )
-        st = eng.stats()
+        st = tp.stats()
         hits = st["cache_hits"]
         misses = st["demand_loads"]
         res.extra.update(

@@ -8,9 +8,11 @@ Methodology (DESIGN.md §2):
   cannot slow the injector down.
 - Service times are **measured** (``perf_counter``) around real
   ``engine.process`` calls, then adjusted by the engine's cost ledger:
-  synthetic µs are added (hardware we substitute: RocksDB/JNI, framework
-  per-pane overhead, page-cache reads), prefetch seconds are subtracted
-  (asynchronous in the real system).
+  synthetic µs are added (hardware we substitute: the Flink baseline's
+  per-pane framework overhead, the reservoir's page-cache and seek costs),
+  prefetch seconds are subtracted (asynchronous in the real system).
+- Engines are a :class:`~repro.core.task.TaskProcessor` (Railgun) or a
+  Flink baseline from :mod:`repro.core.engines`; answers are not read.
 - Departures come from the Lindley recursion over the scheduled arrivals,
   so queueing delay under overload is modeled exactly; an engine whose
   mean service exceeds the inter-arrival budget shows the same latency

@@ -1,18 +1,19 @@
-"""Per-event engines behind the §5.1 latency experiment (Fig 8 / T1).
+"""Flink baselines for the §5.1 latency experiment (Fig 8 / T1).
 
-All three engines share one interface for the latency harness:
+Railgun itself runs as a :class:`~repro.core.task.TaskProcessor`. The
+baselines share its interface with the latency harness
+(:class:`~repro.bench.harness.Engine`):
 
-- ``process(event) -> answers`` (dict ``"{agg}_{field}" -> value|None``),
+- ``process(event) -> answers`` (here a dict ``"{agg}_{field}" -> value|None``;
+  a task processor keys its answers by metric name),
 - ``take_costs() -> (synthetic_us, discount_s)`` — synthetic µs the
   harness *adds* to the measured service time (costs of hardware we
-  substitute, e.g. RocksDB/JNI and framework per-window overhead) and
-  seconds it *subtracts* (work that is asynchronous in the real system,
-  e.g. reservoir prefetch).
+  substitute: the framework per-pane overhead here, page-cache reads in
+  the reservoir) and seconds it *subtracts* (work that is asynchronous in
+  the real system: reservoir prefetch).
 
 Engines:
 
-- :class:`RailgunEngine` — a real :class:`~repro.core.task.TaskProcessor`
-  with real-time sliding windows (the paper's system).
 - :class:`FlinkHoppingEngine` — Flink-style hopping windows: every event
   updates all ``window/hop`` active per-key pane states through the state
   store, panes fire and expire at hop boundaries, and the servable answer
@@ -30,72 +31,8 @@ from __future__ import annotations
 from typing import Any
 
 from .statestore import StateStore
-from .task import TaskProcessor
 
 Event = dict
-
-
-class RailgunEngine:
-    """Railgun task processor exposed under the harness engine interface."""
-
-    def __init__(
-        self,
-        data_dir: str,
-        *,
-        key: str = "card_id",
-        field: str = "amount",
-        aggs: tuple[str, ...] = ("sum",),
-        window_ms: int,
-        reservoir_kwargs: dict | None = None,
-        store_kwargs: dict | None = None,
-    ):
-        select = ", ".join(f"{a}({field})" for a in aggs)
-        sql = (
-            f"SELECT {select} FROM payments GROUP BY {key} "
-            f"OVER sliding {window_ms} ms"
-        )
-        self.tp = TaskProcessor(
-            "bench-task",
-            [sql],
-            data_dir,
-            reservoir_kwargs=reservoir_kwargs,
-            store_kwargs=store_kwargs,
-        )
-        self._names = [
-            (leaf.metric.name, f"{leaf.metric.agg}_{field}")
-            for leaf in self.tp.plan.leaves
-        ]
-
-    @classmethod
-    def from_statements(
-        cls,
-        data_dir: str,
-        statements: list[str],
-        *,
-        reservoir_kwargs: dict | None = None,
-        store_kwargs: dict | None = None,
-    ) -> "RailgunEngine":
-        """Wrap a task processor running arbitrary Railgun statements
-        (answers keyed by metric name) — used by the §5.2 experiments."""
-        eng = cls.__new__(cls)
-        eng.tp = TaskProcessor(
-            "bench-task", statements, data_dir,
-            reservoir_kwargs=reservoir_kwargs, store_kwargs=store_kwargs,
-        )
-        eng._names = [
-            (leaf.metric.name, leaf.metric.name) for leaf in eng.tp.plan.leaves
-        ]
-        return eng
-
-    def process(self, event: Event) -> dict[str, Any]:
-        raw = self.tp.process(event)
-        return {out: raw[name] for name, out in self._names}
-
-    def take_costs(self) -> tuple[float, float]:
-        return self.tp.take_costs()
-
-    def stats(self) -> dict:
-        return self.tp.stats()
 
 
 def _pane_update(pane: dict[str, Any] | None, aggs: tuple[str, ...], v: float) -> dict:
@@ -141,7 +78,6 @@ class FlinkHoppingEngine:
         window_ms: int,
         hop_ms: int,
         framework_overhead_us_per_pane: float = 8.0,
-        store_kwargs: dict | None = None,
     ):
         if window_ms % hop_ms:
             raise ValueError("window must be a multiple of the hop")
@@ -152,7 +88,7 @@ class FlinkHoppingEngine:
         self.hop_ms = hop_ms
         self.panes_per_event = window_ms // hop_ms
         self.overhead_us = framework_overhead_us_per_pane
-        self.store = StateStore(**(store_kwargs or {}))
+        self.store = StateStore()
         self.synthetic_us = 0.0
         self.watermark: int | None = None
         # window end -> keys with events in [end - w, end) (the equivalent
@@ -191,7 +127,7 @@ class FlinkHoppingEngine:
         return {f"{a}_{self.field}": _pane_value(pane, a) for a in self.aggs}
 
     def take_costs(self) -> tuple[float, float]:
-        s = self.synthetic_us + self.store.take_costs()
+        s = self.synthetic_us
         self.synthetic_us = 0.0
         return s, 0.0
 
@@ -206,13 +142,12 @@ class FlinkRecomputeEngine:
         field: str = "amount",
         aggs: tuple[str, ...] = ("sum",),
         window_ms: int,
-        store_kwargs: dict | None = None,
     ):
         self.key = key
         self.field = field
         self.aggs = aggs
         self.window_ms = window_ms
-        self.store = StateStore(**(store_kwargs or {}))
+        self.store = StateStore()
 
     def prefill_steady_state(self, history) -> None:
         """Load a window's worth of history into state (checkpoint-load
@@ -253,4 +188,4 @@ class FlinkRecomputeEngine:
         return out
 
     def take_costs(self) -> tuple[float, float]:
-        return self.store.take_costs(), 0.0
+        return 0.0, 0.0

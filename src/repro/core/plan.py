@@ -86,16 +86,23 @@ class AggregatorLeaf:
             agg = store.get(key, cf)
             if agg is None:
                 agg = make_aggregator(self._agg_name)
-            for e in evicts:
-                agg.evict(e["seq"], self._field(e))
+            # arrivals first: one batch can both add and expire an event
             for e in adds:
                 agg.add(e["seq"], self._field(e))
+            for e in evicts:
+                agg.evict(e["seq"], self._field(e))
             store.put(key, agg, cf)
 
     def _apply_distinct(self, arrivals: list[Event], evictions: list[Event]) -> None:
         # distinct counts live in a dedicated column family (paper §4.1.3):
         # aux key (entity, value) -> multiplicity; main key entity -> #distinct.
         touched: dict[Any, int] = {}
+        for e in arrivals:
+            key, val = self._key(e), self._field(e)
+            m = self.store.get((key, val), self.aux_cf) or 0
+            if m == 0:
+                touched[key] = touched.get(key, self._size(key)) + 1
+            self.store.put((key, val), m + 1, self.aux_cf)
         for e in evictions:
             key, val = self._key(e), self._field(e)
             m = (self.store.get((key, val), self.aux_cf) or 0) - 1
@@ -104,12 +111,6 @@ class AggregatorLeaf:
                 touched[key] = touched.get(key, self._size(key)) - 1
             else:
                 self.store.put((key, val), m, self.aux_cf)
-        for e in arrivals:
-            key, val = self._key(e), self._field(e)
-            m = self.store.get((key, val), self.aux_cf) or 0
-            if m == 0:
-                touched[key] = touched.get(key, self._size(key)) + 1
-            self.store.put((key, val), m + 1, self.aux_cf)
         for key, size in touched.items():
             self.store.put(key, size, self.cf)
 

@@ -212,35 +212,6 @@ class ReservoirIterator:
         self.chunk_id = lo
         self._current = events
 
-    def peek_ts(self) -> int | None:
-        """Timestamp of the next event, or None if caught up."""
-        r = self.r
-        cid, idx = self.chunk_id, self.idx
-        cur = self._current
-        while True:
-            if cid == r._open_id:
-                return r._open[idx]["ts"] if idx < len(r._open) else None
-            events = None
-            for tcid, tev, _ in r._transition:
-                if tcid == cid:
-                    events = tev
-                    break
-            if events is None:
-                events = cur if (cur is not None and cid == self.chunk_id) else None
-                if events is None:
-                    ref = r._index[cid]
-                    if idx < ref.n:
-                        # peek without paying a demand load: first_ts suffices
-                        return ref.first_ts if idx == 0 else None
-                    cid += 1
-                    idx = 0
-                    continue
-            if idx < len(events):
-                return events[idx]["ts"]
-            cid += 1
-            idx = 0
-            cur = None
-
 
 class EventReservoir:
     """Disk-backed, chunked store of one task's events (paper §4.1.1)."""
@@ -498,21 +469,9 @@ class EventReservoir:
         self.prefetch_loads += 1
         self.discount_s += time.perf_counter() - t0
 
-    def iterator(self, *, from_ts: int | None = None) -> ReservoirIterator:
-        """Open a cursor; ``from_ts`` seeks via the ts index (random read)."""
-        if from_ts is None:
-            return ReservoirIterator(self, 0, 0)
-        lo = bisect.bisect_right([c.first_ts for c in self._index], from_ts) - 1
-        if lo < 0:
-            return ReservoirIterator(self, 0, 0)
-        ref = self._index[lo]
-        if from_ts > ref.last_ts:
-            return ReservoirIterator(self, lo + 1, 0)
-        events = self._fetch_sealed(lo, prefetch=False)
-        idx = bisect.bisect_left([e["ts"] for e in events], from_ts)
-        it = ReservoirIterator(self, lo, idx)
-        it._current = events
-        return it
+    def iterator(self) -> ReservoirIterator:
+        """Open a cursor at the start; ``seek_after`` repositions it."""
+        return ReservoirIterator(self, 0, 0)
 
     # -- accounting / checkpoint ----------------------------------------------
 
@@ -549,18 +508,10 @@ class EventReservoir:
 
     def flush(self) -> None:
         """Seal everything in memory (used by checkpoints and shutdown)."""
+        self._close_open()  # with lateness, parks it as the newest transition
         for cid, events, _ in self._transition:
             self._seal(cid, events)
         self._transition = []
-        self._close_open_forced()
-
-    def _close_open_forced(self) -> None:
-        if self._open:
-            cid, events = self._open_id, self._open
-            self._open = []
-            self._open_id = cid + 1
-            self._last_closed_ts = events[-1]["ts"]
-            self._seal(cid, events)
 
     def checkpoint(self) -> dict:
         """Seal in-memory chunks and return restorable metadata."""
@@ -573,28 +524,25 @@ class EventReservoir:
             "total_events": self.total_events,
         }
 
-    @classmethod
-    def restore(cls, data_dir: str, meta: dict, **kwargs) -> "EventReservoir":
-        """Rebuild a reservoir from checkpoint metadata + copied files."""
-        r = cls(data_dir, **kwargs)
-        r._index = list(meta["index"])
-        r._files = [
-            os.path.join(data_dir, os.path.basename(p)) for p in meta["files"]
+    def load(self, meta: dict) -> None:
+        """Fill this empty reservoir from checkpoint metadata + copied files."""
+        self._index = list(meta["index"])
+        self._files = [
+            os.path.join(self.dir, os.path.basename(p)) for p in meta["files"]
         ]
-        r._open_id = meta["open_id"]
-        r.total_events = meta["total_events"]
+        self._open_id = meta["open_id"]
+        self.total_events = meta["total_events"]
         for sid, fields in sorted(meta["schemas"].items()):
-            r.registry.register(fields)
-        if r._index:
-            r._last_sealed_ts = r._index[-1].last_ts
-            r._last_closed_ts = r._index[-1].last_ts
+            self.registry.register(fields)
+        if self._index:
+            self._last_sealed_ts = self._index[-1].last_ts
+            self._last_closed_ts = self._index[-1].last_ts
         # reopen the last file for appends if it is not full
-        if r._files:
-            last_file = len(r._files) - 1
-            n_in_last = sum(1 for c in r._index if c.file_idx == last_file)
-            r._write_fh = open(r._files[-1], "ab")
-            r._chunks_in_current_file = n_in_last
-        return r
+        if self._files:
+            last_file = len(self._files) - 1
+            n_in_last = sum(1 for c in self._index if c.file_idx == last_file)
+            self._write_fh = open(self._files[-1], "ab")
+            self._chunks_in_current_file = n_in_last
 
     def close(self) -> None:
         if self._write_fh is not None:

@@ -6,10 +6,7 @@ shape*: every read/write pays value (de)serialization (pickle), values
 live in column families (countDistinct uses its own, as in the paper),
 and checkpoints flush the store to disk so recovery can copy it.
 
-A per-access synthetic cost knob (``access_cost_us``) lets experiments
-model an embedded store slower than a Python dict (e.g. RocksDB via JNI);
-it accumulates into ``synthetic_us`` which the latency harness adds to
-measured service time. The default is 0 (pay only the real ser/de cost).
+``gets`` and ``puts`` count the accesses.
 """
 from __future__ import annotations
 
@@ -23,13 +20,11 @@ class StateStore:
 
     DEFAULT_CF = "default"
 
-    def __init__(self, data_dir: str | None = None, *, access_cost_us: float = 0.0):
+    def __init__(self, data_dir: str | None = None):
         self.dir = data_dir
         if data_dir:
             os.makedirs(data_dir, exist_ok=True)
         self._cfs: dict[str, dict[Any, bytes]] = {self.DEFAULT_CF: {}}
-        self.access_cost_us = access_cost_us
-        self.synthetic_us = 0.0
         self.gets = 0
         self.puts = 0
 
@@ -41,13 +36,11 @@ class StateStore:
 
     def get(self, key: Any, cf: str = DEFAULT_CF) -> Any | None:
         self.gets += 1
-        self.synthetic_us += self.access_cost_us
         blob = self._cf(cf).get(key)
         return None if blob is None else pickle.loads(blob)
 
     def put(self, key: Any, value: Any, cf: str = DEFAULT_CF) -> None:
         self.puts += 1
-        self.synthetic_us += self.access_cost_us
         self._cf(cf)[key] = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
     def delete(self, key: Any, cf: str = DEFAULT_CF) -> None:
@@ -58,11 +51,6 @@ class StateStore:
 
     def __len__(self) -> int:
         return sum(len(d) for d in self._cfs.values())
-
-    def take_costs(self) -> float:
-        s = self.synthetic_us
-        self.synthetic_us = 0.0
-        return s
 
     # -- checkpointing ---------------------------------------------------
 
@@ -75,9 +63,7 @@ class StateStore:
             pickle.dump(self._cfs, fh, protocol=pickle.HIGHEST_PROTOCOL)
         return path
 
-    @classmethod
-    def restore(cls, path: str, data_dir: str | None = None, **kwargs) -> "StateStore":
-        store = cls(data_dir, **kwargs)
+    def load(self, path: str) -> None:
+        """Replace this store's contents with a checkpoint file's."""
         with open(path, "rb") as fh:
-            store._cfs = pickle.load(fh)
-        return store
+            self._cfs = pickle.load(fh)

@@ -32,7 +32,6 @@ class TaskProcessor:
         data_dir: str,
         *,
         reservoir_kwargs: dict | None = None,
-        store_kwargs: dict | None = None,
     ):
         self.task_id = task_id
         self.statements = [
@@ -43,9 +42,7 @@ class TaskProcessor:
         self.reservoir = EventReservoir(
             os.path.join(data_dir, "reservoir"), **(reservoir_kwargs or {})
         )
-        self.store = StateStore(
-            os.path.join(data_dir, "state"), **(store_kwargs or {})
-        )
+        self.store = StateStore(os.path.join(data_dir, "state"))
         self.plan = TaskPlan(self.statements, self.reservoir, self.store)
         self._seq = 0
         self.last_offset: int | None = None  # messaging-layer offset, if any
@@ -103,8 +100,6 @@ class TaskProcessor:
         (sum/count/avg/stdDev); metrics needing event order (min/max/
         last/prev) must warm up via :meth:`warm_up`.
         """
-        import pandas as pd  # local: keep core import-light
-
         from .aggregators import Avg, Count, StdDev, Sum
 
         self.reservoir.flush()
@@ -143,19 +138,13 @@ class TaskProcessor:
                     self.store.put(key, obj, leaf.cf)
             else:
                 raise ValueError(f"warm_start does not support {agg!r}")
-        for wnode in self.plan.windows.values():
-            lo, hi = wnode.spec.bounds(now_ts)
-            wnode.head.seek_after(hi)
-            if wnode.tail is not None:
-                wnode.tail.seek_after(lo)
-        self.take_costs()
+        self._position_iterators(now_ts)
 
     # -- accounting ------------------------------------------------------------
 
     def take_costs(self) -> tuple[float, float]:
         """(synthetic_us, discount_s) accrued since last call (see bench)."""
-        r_syn, r_disc = self.reservoir.take_costs()
-        return r_syn + self.store.take_costs(), r_disc
+        return self.reservoir.take_costs()
 
     def stats(self) -> dict[str, Any]:
         r = self.reservoir
@@ -194,7 +183,6 @@ class TaskProcessor:
         data_dir: str,
         *,
         reservoir_kwargs: dict | None = None,
-        store_kwargs: dict | None = None,
     ) -> "TaskProcessor":
         """Rebuild a processor from another processor's checkpoint.
 
@@ -202,53 +190,31 @@ class TaskProcessor:
         transfer between processor units), then the caller replays
         messages after ``ckpt['last_offset']`` from the messaging layer.
         """
-        tp = cls.__new__(cls)
-        tp.task_id = ckpt["task_id"]
-        tp.statements = [
-            parse_statement(s) if isinstance(s, str) else s for s in statements
-        ]
-        tp.dir = data_dir
-        res_dir = os.path.join(data_dir, "reservoir")
-        state_dir = os.path.join(data_dir, "state")
-        os.makedirs(res_dir, exist_ok=True)
-        os.makedirs(state_dir, exist_ok=True)
+        tp = cls(ckpt["task_id"], statements, data_dir,
+                 reservoir_kwargs=reservoir_kwargs)
         for src in ckpt["reservoir"]["files"]:
-            shutil.copy(src, os.path.join(res_dir, os.path.basename(src)))
-        tp.reservoir = EventReservoir.restore(
-            res_dir, ckpt["reservoir"], **(reservoir_kwargs or {})
-        )
-        state_copy = os.path.join(state_dir, "latest.state")
-        shutil.copy(ckpt["state_path"], state_copy)
-        tp.store = StateStore.restore(
-            state_copy, state_dir, **(store_kwargs or {})
-        )
-        tp.plan = TaskPlan(tp.statements, tp.reservoir, tp.store)
+            shutil.copy(src, tp.reservoir.dir)
+        tp.reservoir.load(ckpt["reservoir"])
+        state_copy = shutil.copy(ckpt["state_path"], tp.store.dir)
+        tp.store.load(state_copy)
         tp._seq = ckpt["seq"]
         tp.last_offset = ckpt["last_offset"]
-        # Iterators restart at the reservoir start; fast-forward aggregates
-        # are already in the copied state store, so reposition heads/tails
-        # to the end without reapplying: rebuild state from scratch instead
-        # is wasteful — but cursors must match the copied aggregate state.
-        # The copied state reflects everything up to the checkpoint, so we
-        # position iterators at the reservoir end for heads and at each
-        # window's lower bound for tails via a no-op state pass.
-        tp._reposition_iterators()
+        index = ckpt["reservoir"]["index"]
+        if index:
+            # the checkpoint sealed every chunk, and the copied state holds
+            # every event up to the last one sealed
+            tp._position_iterators(index[-1].last_ts)
         return tp
 
-    def _reposition_iterators(self) -> None:
-        """Move iterators to match already-recovered aggregate state.
+    def _position_iterators(self, now_ts: int) -> None:
+        """Seek every window's head and tail to its bounds at ``now_ts``.
 
-        The copied state store reflects every event up to the checkpoint
-        (which flushed all chunks to sealed files), so heads seek just past
-        the last stored timestamp and tails seek to each window's lower
-        bound — random reads via the ts index, not full scans.
+        Used when aggregate state was loaded directly instead of being
+        built by advancing: heads seek past ``hi`` and tails past ``lo``,
+        random reads via the ts index, not scans.
         """
-        r = self.reservoir
-        last_ts = r._index[-1].last_ts if r._index else None
-        if last_ts is None:
-            return
         for wnode in self.plan.windows.values():
-            lo, hi = wnode.spec.bounds(last_ts)
+            lo, hi = wnode.spec.bounds(now_ts)
             wnode.head.seek_after(hi)
             if wnode.tail is not None:
                 wnode.tail.seek_after(lo)

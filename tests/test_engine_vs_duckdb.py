@@ -9,21 +9,25 @@ import numpy as np
 import pytest
 
 from repro import synth_data
-from repro.core.engines import RailgunEngine
+from repro.core.task import TaskProcessor
 from repro.core.windows import MINUTE
 from repro.oracle import assert_equivalent
 
 
 def test_railgun_engine_answers_equal_duckdb(tmp_path):
     pdf = synth_data.payments_pdf(n=1_200, rate_hz=2.0, n_cards=20, seed=13)
-    eng = RailgunEngine(
-        str(tmp_path), aggs=("sum", "count"), window_ms=MINUTE,
+    tp = TaskProcessor(
+        "t",
+        ["SELECT sum(amount), count(amount) FROM payments GROUP BY card_id "
+         f"OVER sliding {MINUTE} ms"],
+        str(tmp_path),
         reservoir_kwargs={"chunk_events": 64, "cache_chunks": 16},
     )
+    s_name, c_name = (leaf.metric.name for leaf in tp.plan.leaves)
     got = []
     for e in pdf.to_dict("records"):
-        ans = eng.process(e)
-        got.append((e["id"], ans["sum_amount"], ans["count_amount"]))
+        ans = tp.process(e)
+        got.append((e["id"], ans[s_name], ans[c_name]))
     con = duckdb.connect()
     con.register("payments", pdf)
     expect = con.execute(

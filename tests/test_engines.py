@@ -1,7 +1,7 @@
 """The §5.1 engines answer exactly what their references say.
 
-- RailgunEngine ≡ per-event real-time sliding answers (and therefore, by
-  test_sliding_oracle.py, ≡ the DuckDB oracle);
+- Railgun's TaskProcessor ≡ per-event real-time sliding answers (and
+  therefore, by test_sliding_oracle.py, ≡ the DuckDB oracle);
 - FlinkHoppingEngine ≡ the last-completed-hopping-window reference;
 - FlinkRecomputeEngine ≡ the sliding reference (it is accurate — just
   algorithmically quadratic, which is the point of §2.2's critique).
@@ -11,10 +11,11 @@ import math
 import pytest
 
 from repro import synth_data
-from repro.core.engines import FlinkHoppingEngine, FlinkRecomputeEngine, RailgunEngine
+from repro.core.engines import FlinkHoppingEngine, FlinkRecomputeEngine
 import pandas as pd
 
 from repro.core.sliding import _hopping_group, _sliding_group
+from repro.core.task import TaskProcessor
 from repro.core.windows import MINUTE, SECOND
 
 
@@ -40,41 +41,53 @@ def _close(a, b):
     return abs(float(a) - float(b)) < 1e-6
 
 
-def _check_engine(engine, events, ref_pdf, aggs, field="amount"):
+def _check_engine(engine, events, ref_pdf, aggs, field="amount", names=None):
+    """``names`` maps a reference column to the engine's answer key."""
     ref = ref_pdf.set_index("id")
     for e in events:
         ans = engine.process(e)
         for a in aggs:
             col = f"{a}_{field}"
+            got = ans[names[col] if names else col]
             expect = ref.loc[e["id"], col]
-            assert _close(ans[col], expect), (
-                f"event {e['id']} {col}: engine={ans[col]} ref={expect}"
+            assert _close(got, expect), (
+                f"event {e['id']} {col}: engine={got} ref={expect}"
             )
+
+
+def _railgun(path, aggs, window_ms):
+    select = ", ".join(f"{a}(amount)" for a in aggs)
+    return TaskProcessor(
+        "t",
+        [f"SELECT {select} FROM payments GROUP BY card_id "
+         f"OVER sliding {window_ms} ms"],
+        path,
+        reservoir_kwargs={"chunk_events": 64, "cache_chunks": 32},
+    )
 
 
 def test_railgun_engine_matches_sliding_reference(tmp_path, stream):
     pdf, events = stream
     aggs = ("sum", "count", "avg")
-    eng = RailgunEngine(
-        str(tmp_path / "rg"), aggs=aggs, window_ms=MINUTE,
-        reservoir_kwargs={"chunk_events": 64, "cache_chunks": 32},
-    )
+    tp = _railgun(str(tmp_path / "rg"), aggs, MINUTE)
+    names = {
+        f"{leaf.metric.agg}_{leaf.metric.agg_field}": leaf.metric.name
+        for leaf in tp.plan.leaves
+    }
     ref = _per_card(_sliding_group, pdf, aggs, MINUTE, 0)
-    _check_engine(eng, events, ref, aggs)
+    _check_engine(tp, events, ref, aggs, names=names)
 
 
 def test_railgun_engine_long_window_equals_short_on_shared_head(tmp_path, stream):
     """Window size changes what expires, never what arrives (§4.1.1)."""
     pdf, events = stream
-    eng = RailgunEngine(
-        str(tmp_path / "rg2"), aggs=("count",), window_ms=24 * 60 * MINUTE,
-        reservoir_kwargs={"chunk_events": 64, "cache_chunks": 32},
-    )
+    tp = _railgun(str(tmp_path / "rg2"), ("count",), 24 * 60 * MINUTE)
+    name = tp.plan.leaves[0].metric.name
     # a day-long window over a ~12-min stream == infinite window here
     for i, e in enumerate(events):
-        ans = eng.process(e)
+        ans = tp.process(e)
         expect = sum(1 for x in events[: i + 1] if x["card_id"] == e["card_id"])
-        assert ans["count_amount"] == expect
+        assert ans[name] == expect
 
 
 @pytest.mark.parametrize("hop_ms", [MINUTE, 15 * SECOND])
@@ -134,12 +147,8 @@ def test_railgun_engine_cost_independent_of_window_size(tmp_path, stream):
     pdf, events = stream
     totals = {}
     for label, w in (("5min", 5 * MINUTE), ("1day", 24 * 60 * MINUTE)):
-        eng = RailgunEngine(
-            str(tmp_path / f"rgc{label}"), aggs=("sum",), window_ms=w,
-            reservoir_kwargs={"chunk_events": 64, "cache_chunks": 32},
-        )
-        store_ops = 0
+        tp = _railgun(str(tmp_path / f"rgc{label}"), ("sum",), w)
         for e in events:
-            eng.process(e)
-        totals[label] = eng.tp.store.gets + eng.tp.store.puts
+            tp.process(e)
+        totals[label] = tp.store.gets + tp.store.puts
     assert totals["1day"] <= totals["5min"] * 1.1

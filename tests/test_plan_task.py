@@ -4,6 +4,7 @@ Correctness reference: a brute-force recomputation over all events (and,
 in test_sliding_oracle.py, the DuckDB oracle through the Spark path).
 """
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.language import parse_statement
@@ -237,6 +238,67 @@ def test_prefill_and_warm_up_give_live_tail(tmp_path):
     ans = tp.process({"id": "x", "ts": 100_000, "card_id": 1,
                       "merchant_id": 1, "amount": 1.0})
     assert ans[name] == 60
+
+
+def _reference(agg, vals):
+    """Brute-force value of one aggregation over a window's values, in order."""
+    if agg == "count":
+        return len(vals)
+    if agg == "countDistinct":
+        return len(set(vals))
+    if agg in ("stdDev", "prev"):
+        if len(vals) < 2:
+            return None
+        return np.std(vals, ddof=1) if agg == "stdDev" else vals[-2]
+    if not vals:
+        return None
+    return {"sum": sum, "avg": np.mean, "min": min, "max": max,
+            "last": lambda v: v[-1]}[agg](vals)
+
+
+def _assert_answer(got, expect, label):
+    if expect is None:
+        assert got is None, label
+    else:
+        assert got == pytest.approx(expect, rel=1e-9), label
+
+
+def test_warm_up_matches_brute_force_and_warm_start(tmp_path):
+    """Batched warm_up over a history many windows long, every aggregation.
+
+    Within the one batch, a history event can both arrive in and expire
+    from a window; warm_start must then agree with warm_up.
+    """
+    events = _payments(n=300, n_cards=3)
+    hist = events[:200]
+    now = hist[-1]["ts"]
+    windows = ("sliding 5 seconds", "sliding 5 seconds delayed by 2 seconds")
+
+    def sqls(select):
+        return [f"SELECT {select} FROM payments GROUP BY card_id OVER {w}"
+                for w in windows]
+
+    aggs = ("sum", "avg", "count", "min", "max", "stdDev", "last", "prev")
+    tp = make_tp(tmp_path, sqls(
+        ", ".join(f"{a}(amount)" for a in aggs) + ", countDistinct(merchant_id)"
+    ))
+    tp.prefill(hist)
+    tp.warm_up(now)
+    start = TaskProcessor(
+        "start", sqls("sum(amount), avg(amount), count(amount), stdDev(amount)"),
+        str(tmp_path / "start"), reservoir_kwargs={"chunk_events": 32},
+    )
+    start.prefill(hist)
+    start.warm_start(pd.DataFrame(hist), now)
+    for i in range(len(hist), len(events)):
+        ans = tp.process(events[i])
+        for leaf in tp.plan.leaves:
+            m = leaf.metric
+            vals = _brute(events, i, key="card_id", window_ms=m.window.size_ms,
+                          field=m.agg_field, delay_ms=m.window.delay_ms)
+            _assert_answer(ans[m.name], _reference(m.agg, vals), (i, m.name))
+        for name, got in start.process(events[i]).items():
+            _assert_answer(got, ans[name], (i, name, "warm_start"))
 
 
 def test_checkpoint_recover_resumes_exactly(tmp_path):

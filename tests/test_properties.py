@@ -81,7 +81,13 @@ def test_task_processor_count_matches_bruteforce(tmp_path_factory, events, windo
 )
 def test_checkpoint_recovery_transparent(tmp_path_factory, events, checkpoint_at):
     """Recovery at any point yields a processor that answers identically."""
-    sqls = ["SELECT count(amount) FROM s GROUP BY card_id OVER sliding 20 seconds"]
+    select = ("count(amount), max(amount), min(amount), stdDev(amount), "
+              "countDistinct(amount)")
+    sqls = [
+        f"SELECT {select} FROM s GROUP BY card_id OVER sliding 20 seconds",
+        f"SELECT {select} FROM s GROUP BY card_id "
+        "OVER sliding 10 seconds delayed by 5 seconds",
+    ]
     kw = {"chunk_events": 8, "cache_chunks": 8}
     tp = TaskProcessor(
         "a", sqls, str(tmp_path_factory.mktemp("a")), reservoir_kwargs=kw

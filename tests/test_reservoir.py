@@ -92,7 +92,8 @@ def test_two_iterators_are_independent(tmp_path):
 def test_random_read_via_ts_index(tmp_path):
     r = make(tmp_path)
     _fill(r, 64)
-    it = r.iterator(from_ts=305)  # first event with ts >= 305 is id 31
+    it = r.iterator()
+    it.seek_after(304)  # first event with ts > 304 is id 31
     out = []
     it.advance_until(345, out)
     assert [e["id"] for e in out] == [31, 32, 33, 34]
@@ -282,10 +283,11 @@ def test_checkpoint_restore_roundtrip(tmp_path):
     _fill(r, 30)
     meta = r.checkpoint()
     assert r.sealed_chunks() == 4  # 30 events / 8 per chunk, flushed
-    r2 = EventReservoir.restore(
-        str(tmp_path / "res"), meta, chunk_events=8, chunks_per_file=4,
+    r2 = EventReservoir(
+        str(tmp_path / "res"), chunk_events=8, chunks_per_file=4,
         schema=("id", "ts", "v", "seq"),
     )
+    r2.load(meta)
     out = []
     r2.iterator().advance_until(10**9, out)
     assert [e["id"] for e in out] == list(range(30))

@@ -45,15 +45,3 @@ def test_payments_spark_roundtrip(spark):
     df = synth_data.payments(spark, n=200, seed=7)
     assert df.count() == 200
     assert set(df.columns) >= {"id", "ts", "card_id", "merchant_id", "amount"}
-
-
-def test_tpch_lite_generators(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    assert li.count() == 6_000
-    assert synth_data.orders(spark, sf=0.001).count() == 1_500
-
-
-def test_key_generators(spark):
-    z = synth_data.zipf_keys(spark, n=5_000, n_keys=100).toPandas()
-    u = synth_data.uniform_keys(spark, n=5_000, n_keys=100).toPandas()
-    assert z.k.value_counts().iloc[0] > u.k.value_counts().iloc[0] * 3

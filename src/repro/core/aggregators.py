@@ -1,198 +1,169 @@
 """Railgun aggregation operators (paper §3.4 grammar, §4.1.3 state layout).
 
-Every aggregator maintains an incremental state supporting the sliding
-window protocol:
+Each aggregation is one stateless implementation over a plain state of
+built-ins only, so the state store serializes a few scalars per entity,
+as the paper's RocksDB store does: ``new()`` is an empty window's state,
+``add(state, seq, value)`` / ``evict(state, seq, value)`` update it in
+place as an event enters / leaves the window, and ``value(state)`` is the
+aggregate. A state whose window emptied equals ``new()`` again. ``seq``
+is the event's increasing sequence number inside its task, the key of
+the min/max monotonic queues (paper cites Knuth's deque [30]).
 
-- ``add(seq, value)``    — a new event entered the window,
-- ``evict(seq, value)``  — the oldest event left the window,
-- ``value()``            — the current aggregate.
-
-``seq`` is the event's monotonically increasing sequence number inside its
-task; it is what the min/max monotonic deques key on (paper cites Knuth's
-deque [30]). States are small, picklable objects: the state store
-serializes them on every write like the paper's RocksDB-backed store.
-
-stdDev uses Welford's online algorithm (paper ref [50]); eviction uses the
-reverse-Welford update, which is numerically fine for the window
-populations exercised here. countDistinct keeps a value→multiplicity map
-(the paper keeps these counts in a dedicated RocksDB column family).
+States: sum and avg ``[s, n]``; count ``[n]``; stdDev ``[n, mean, m2]``
+(Welford's online algorithm, paper ref [50], evicted by the reverse
+step); max, min, last and prev a list of ``(seq, value)`` pairs;
+countDistinct ``[n, counts]``, ``counts`` a value→multiplicity mapping
+(the task plan passes in its dedicated column family, as in the paper).
 """
 from __future__ import annotations
 
 import math
-from collections import deque
+import operator
 from typing import Any
 
 
-class Aggregator:
-    """Base incremental aggregator over the events currently in a window."""
-
-    name = "base"
-
-    def add(self, seq: int, value: Any) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def evict(self, seq: int, value: Any) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def value(self) -> Any:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class Count(Aggregator):
+class Count:
     """count(field) — number of events in the window."""
 
     name = "count"
 
-    def __init__(self) -> None:
-        self.n = 0
+    @staticmethod
+    def new() -> list:
+        return [0]
 
-    def add(self, seq: int, value: Any) -> None:
-        self.n += 1
+    @staticmethod
+    def add(st: list, seq: int, value: Any) -> None:
+        st[0] += 1
 
-    def evict(self, seq: int, value: Any) -> None:
-        self.n -= 1
+    @staticmethod
+    def evict(st: list, seq: int, value: Any) -> None:
+        st[0] -= 1
 
-    def value(self) -> int:
-        return self.n
+    @staticmethod
+    def value(st: list) -> int:
+        return st[0]
 
 
-class Sum(Aggregator):
-    """sum(field) — one scalar of state, as in the paper's Q1 example."""
+class Sum:
+    """sum(field) — the paper's Q1 scalar, plus the count that tells an
+    empty window (no answer) from a zero sum."""
 
     name = "sum"
 
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.n = 0
+    @staticmethod
+    def new() -> list:
+        return [0.0, 0]
 
-    def add(self, seq: int, value: Any) -> None:
-        self.s += value
-        self.n += 1
+    @staticmethod
+    def add(st: list, seq: int, value: Any) -> None:
+        st[0] += value
+        st[1] += 1
 
-    def evict(self, seq: int, value: Any) -> None:
-        self.s -= value
-        self.n -= 1
+    @staticmethod
+    def evict(st: list, seq: int, value: Any) -> None:
+        st[1] -= 1
+        st[0] = st[0] - value if st[1] else 0.0  # no drift once empty
 
-    def value(self) -> float | None:
-        return self.s if self.n else None
+    @staticmethod
+    def value(st: list) -> float | None:
+        return st[0] if st[1] else None
 
 
-class Avg(Aggregator):
-    """avg(field) — stores sum plus the auxiliary counter (§4.1.3)."""
+class Avg(Sum):
+    """avg(field) — sum plus the auxiliary counter (§4.1.3)."""
 
     name = "avg"
 
-    def __init__(self) -> None:
-        self.s = 0.0
-        self.n = 0
-
-    def add(self, seq: int, value: Any) -> None:
-        self.s += value
-        self.n += 1
-
-    def evict(self, seq: int, value: Any) -> None:
-        self.s -= value
-        self.n -= 1
-
-    def value(self) -> float | None:
-        return self.s / self.n if self.n else None
-
-
-class _MonotonicExtreme(Aggregator):
-    """Sliding-window extreme via a monotonic deque of (seq, value).
-
-    The deque front is always the current extreme; ``evict`` pops it when
-    the expiring event is the one providing it. Amortized O(1) per event.
-    """
-
-    _keep: Any  # comparison deciding whether the tail survives a new value
-
-    def __init__(self) -> None:
-        self.dq: deque[tuple[int, Any]] = deque()
-
-    def add(self, seq: int, value: Any) -> None:
-        while self.dq and not self._keep(self.dq[-1][1], value):
-            self.dq.pop()
-        self.dq.append((seq, value))
-
-    def evict(self, seq: int, value: Any) -> None:
-        if self.dq and self.dq[0][0] == seq:
-            self.dq.popleft()
-
-    def value(self) -> Any:
-        return self.dq[0][1] if self.dq else None
-
-
-class Max(_MonotonicExtreme):
-    name = "max"
-
     @staticmethod
-    def _keep(tail: Any, new: Any) -> bool:
-        return tail > new
+    def value(st: list) -> float | None:
+        return st[0] / st[1] if st[1] else None
 
 
-class Min(_MonotonicExtreme):
-    name = "min"
-
-    @staticmethod
-    def _keep(tail: Any, new: Any) -> bool:
-        return tail < new
-
-
-class StdDev(Aggregator):
-    """Sample standard deviation via Welford's online algorithm.
-
-    State is the paper's "three parameters" (n, mean, M2). Eviction is the
-    inverse Welford step.
-    """
+class StdDev:
+    """Sample standard deviation: the paper's "three parameters"
+    ``[n, mean, m2]``, evicted with the inverse Welford step."""
 
     name = "stdDev"
 
-    def __init__(self) -> None:
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
+    @staticmethod
+    def new() -> list:
+        return [0, 0.0, 0.0]
 
-    def add(self, seq: int, value: Any) -> None:
-        self.n += 1
-        d = value - self.mean
-        self.mean += d / self.n
-        self.m2 += d * (value - self.mean)
+    @staticmethod
+    def add(st: list, seq: int, value: Any) -> None:
+        n, mean, m2 = st
+        n += 1
+        d = value - mean
+        mean += d / n
+        st[:] = n, mean, m2 + d * (value - mean)
 
-    def evict(self, seq: int, value: Any) -> None:
-        if self.n == 1:
-            self.n, self.mean, self.m2 = 0, 0.0, 0.0
+    @staticmethod
+    def evict(st: list, seq: int, value: Any) -> None:
+        n, mean, m2 = st
+        if n == 1:
+            st[:] = 0, 0.0, 0.0
             return
-        old_mean = (self.n * self.mean - value) / (self.n - 1)
-        self.m2 -= (value - self.mean) * (value - old_mean)
-        self.n -= 1
-        self.mean = old_mean
-        self.m2 = max(self.m2, 0.0)  # guard FP drift
+        old_mean = (n * mean - value) / (n - 1)
+        m2 -= (value - mean) * (value - old_mean)
+        st[:] = n - 1, old_mean, max(m2, 0.0)  # guard FP drift
 
-    def value(self) -> float | None:
-        if self.n < 2:
-            return None
-        return math.sqrt(self.m2 / (self.n - 1))
+    @staticmethod
+    def value(st: list) -> float | None:
+        n = st[0]
+        return math.sqrt(st[2] / (n - 1)) if n >= 2 else None
 
 
-class Last(Aggregator):
-    """last(field) — most recent value still in the window."""
+class _Queue:
+    """A list of ``(seq, value)`` pairs, oldest first; ``evict`` pops the
+    front when the expiring event is the one it holds."""
+
+    @staticmethod
+    def new() -> list:
+        return []
+
+    @staticmethod
+    def evict(st: list, seq: int, value: Any) -> None:
+        if st and st[0][0] == seq:
+            del st[0]
+
+
+class Max(_Queue):
+    """Sliding-window extreme via a monotonic queue: the front is always
+    the current extreme. Amortized O(1) per event."""
+
+    name = "max"
+    _keep = operator.gt  # whether the queue's tail survives a new value
+
+    @classmethod
+    def add(cls, st: list, seq: int, value: Any) -> None:
+        keep = cls._keep
+        while st and not keep(st[-1][1], value):
+            st.pop()
+        st.append((seq, value))
+
+    @staticmethod
+    def value(st: list) -> Any:
+        return st[0][1] if st else None
+
+
+class Min(Max):
+    name = "min"
+    _keep = operator.lt
+
+
+class Last(_Queue):
+    """last(field) — most recent value still in the window; the queue
+    keeps every event of the window."""
 
     name = "last"
 
-    def __init__(self) -> None:
-        self.dq: deque[tuple[int, Any]] = deque()
+    @staticmethod
+    def add(st: list, seq: int, value: Any) -> None:
+        st.append((seq, value))
 
-    def add(self, seq: int, value: Any) -> None:
-        self.dq.append((seq, value))
-
-    def evict(self, seq: int, value: Any) -> None:
-        if self.dq and self.dq[0][0] == seq:
-            self.dq.popleft()
-
-    def value(self) -> Any:
-        return self.dq[-1][1] if self.dq else None
+    @staticmethod
+    def value(st: list) -> Any:
+        return st[-1][1] if st else None
 
 
 class Prev(Last):
@@ -200,42 +171,64 @@ class Prev(Last):
 
     name = "prev"
 
-    def value(self) -> Any:
-        return self.dq[-2][1] if len(self.dq) >= 2 else None
+    @staticmethod
+    def value(st: list) -> Any:
+        return st[-2][1] if len(st) >= 2 else None
 
 
-class CountDistinct(Aggregator):
-    """countDistinct(field) — value→multiplicity map (§4.1.3 column family)."""
+class CountDistinct:
+    """countDistinct(field) — ``[n, counts]``: n distinct values and their
+    value→multiplicity mapping (any object with ``get``, item assignment
+    and ``pop``)."""
 
     name = "countDistinct"
 
-    def __init__(self) -> None:
-        self.counts: dict[Any, int] = {}
+    @staticmethod
+    def new() -> list:
+        return [0, {}]
 
-    def add(self, seq: int, value: Any) -> None:
-        self.counts[value] = self.counts.get(value, 0) + 1
+    @staticmethod
+    def add(st: list, seq: int, value: Any) -> None:
+        counts = st[1]
+        m = counts.get(value, 0)
+        counts[value] = m + 1
+        if not m:
+            st[0] += 1
 
-    def evict(self, seq: int, value: Any) -> None:
-        c = self.counts.get(value, 0) - 1
-        if c <= 0:
-            self.counts.pop(value, None)
+    @staticmethod
+    def evict(st: list, seq: int, value: Any) -> None:
+        counts = st[1]
+        m = counts.get(value, 0) - 1
+        if m > 0:
+            counts[value] = m
         else:
-            self.counts[value] = c
+            counts.pop(value, None)
+            st[0] -= 1
 
-    def value(self) -> int:
-        return len(self.counts)
+    @staticmethod
+    def value(st: list) -> int:
+        return st[0]
 
 
-AGGREGATORS: dict[str, type[Aggregator]] = {
+AGGREGATORS: dict[str, type] = {
     a.name: a
     for a in (Count, Sum, Avg, StdDev, Max, Min, Last, Prev, CountDistinct)
 }
 
+# The state of a window of n values summing to s with squared deviation m2,
+# for the aggregations a vectorized warm start can build from those moments.
+FROM_MOMENTS = {
+    "count": lambda n, s, m2: [n],
+    "sum": lambda n, s, m2: [s, n],
+    "avg": lambda n, s, m2: [s, n],
+    "stdDev": lambda n, s, m2: [n, s / n, m2],
+}
 
-def make_aggregator(name: str) -> Aggregator:
-    """Instantiate an aggregator from its grammar name (Fig 4)."""
+
+def aggregator(name: str) -> type:
+    """The implementation of an aggregation, by its grammar name (Fig 4)."""
     try:
-        return AGGREGATORS[name]()
+        return AGGREGATORS[name]
     except KeyError:
         raise ValueError(
             f"unknown aggregation {name!r}; supported: {sorted(AGGREGATORS)}"

@@ -6,8 +6,10 @@ reservoir iterators), metrics that additionally share a filter share the
 Filter operator, and so on. Every time the plan advances (a new event
 arrives), each Window operator produces the events that *arrive* and
 *expire* and pushes them down the DAG; the leaves (Aggregator operators)
-read-modify-write per-entity aggregation state in the state store — one
-state-store key per DAG leaf per touched entity, as in §4.1.3.
+update per-entity state. Each GroupBy operator keeps one state-store record
+per entity in its own column family, one plain state slot per leaf (§4.1.3):
+an advance costs one read-modify-write per (GroupBy, touched entity), and
+the answer reuses the record just written.
 
 Iterator sharing (§4.1.1 / Fig 5): window heads are keyed by the window's
 delay (two sliding windows with the same delay share the head iterator
@@ -19,120 +21,100 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable
 
-from .aggregators import make_aggregator
+from .aggregators import aggregator
 from .language import MetricSpec, Statement
 from .reservoir import Event, EventReservoir, ReservoirIterator
 from .statestore import StateStore
 from .windows import WindowSpec
 
 
+class _Multiplicities:
+    """countDistinct's value→multiplicity map of one entity, in its own cf."""
+
+    def __init__(self, store: StateStore, cf: str, key: Any):
+        self.store, self.cf, self.key = store, cf, key
+
+    def get(self, value: Any, default: int) -> int:
+        return self.store.get((self.key, value), self.cf) or default
+
+    def __setitem__(self, value: Any, m: int) -> None:
+        self.store.put((self.key, value), m, self.cf)
+
+    def pop(self, value: Any, default: Any = None) -> None:
+        self.store.delete((self.key, value), self.cf)
+
+
 class AggregatorLeaf:
-    """One metric's Aggregator operator: per-entity state in the store."""
+    """One metric's Aggregator operator: one slot of its GroupBy's record."""
 
     def __init__(self, metric: MetricSpec, metric_id: int, store: StateStore):
         self.metric = metric
-        self.mid = metric_id
+        self.name = metric.name  # a computed property; answers() reads it per event
+        self.agg = aggregator(metric.agg)
         self.store = store
-        self.cf = f"m{metric_id}"
-        self.aux_cf = f"m{metric_id}:distinct"  # countDistinct multiplicities
-        # hot-path caches: metric.name is a computed property; the group-by
-        # and field lookups run hundreds of times per event in wide plans
-        self.name = metric.name
-        self._agg_name = metric.agg
-        self._gb = metric.group_by
-        self._gb1 = metric.group_by[0] if len(metric.group_by) == 1 else None
         self._field_name = None if metric.agg_field == "*" else metric.agg_field
-        self._empty_value = make_aggregator(metric.agg).value()
+        # countDistinct's slot is [n]; the multiplicities have their own cf
+        self.aux_cf = f"m{metric_id}:distinct" if metric.agg == "countDistinct" else None
 
-    def _field(self, e: Event) -> Any:
-        f = self._field_name
-        return 1 if f is None else e.get(f)
-
-    def _key(self, e: Event) -> Any:
-        if self._gb1 is not None:
-            return e.get(self._gb1)
-        return tuple(e.get(g) for g in self._gb)
-
-    def apply(self, arrivals: list[Event], evictions: list[Event]) -> None:
-        """Update every entity touched by this batch (one RMW per entity)."""
-        if self._agg_name == "countDistinct":
-            self._apply_distinct(arrivals, evictions)
-            return
-        store, cf = self.store, self.cf
-        if len(arrivals) == 1 and not evictions:
-            # the common steady-state shape: one arriving event
-            e = arrivals[0]
-            key = self._key(e)
-            agg = store.get(key, cf)
-            if agg is None:
-                agg = make_aggregator(self._agg_name)
-            agg.add(e["seq"], self._field(e))
-            store.put(key, agg, cf)
-            return
-        by_key: dict[Any, tuple[list, list]] = {}
-        for e in evictions:
-            k = self._key(e)
-            r = by_key.get(k)
-            if r is None:
-                r = by_key[k] = ([], [])
-            r[1].append(e)
-        for e in arrivals:
-            k = self._key(e)
-            r = by_key.get(k)
-            if r is None:
-                r = by_key[k] = ([], [])
-            r[0].append(e)
-        for key, (adds, evicts) in by_key.items():
-            agg = store.get(key, cf)
-            if agg is None:
-                agg = make_aggregator(self._agg_name)
-            # arrivals first: one batch can both add and expire an event
-            for e in adds:
-                agg.add(e["seq"], self._field(e))
-            for e in evicts:
-                agg.evict(e["seq"], self._field(e))
-            store.put(key, agg, cf)
-
-    def _apply_distinct(self, arrivals: list[Event], evictions: list[Event]) -> None:
-        # distinct counts live in a dedicated column family (paper §4.1.3):
-        # aux key (entity, value) -> multiplicity; main key entity -> #distinct.
-        touched: dict[Any, int] = {}
-        for e in arrivals:
-            key, val = self._key(e), self._field(e)
-            m = self.store.get((key, val), self.aux_cf) or 0
-            if m == 0:
-                touched[key] = touched.get(key, self._size(key)) + 1
-            self.store.put((key, val), m + 1, self.aux_cf)
-        for e in evictions:
-            key, val = self._key(e), self._field(e)
-            m = (self.store.get((key, val), self.aux_cf) or 0) - 1
-            if m <= 0:
-                self.store.delete((key, val), self.aux_cf)
-                touched[key] = touched.get(key, self._size(key)) - 1
-            else:
-                self.store.put((key, val), m, self.aux_cf)
-        for key, size in touched.items():
-            self.store.put(key, size, self.cf)
-
-    def _size(self, key: Any) -> int:
-        return self.store.get(key, self.cf) or 0
-
-    def value_for(self, event: Event) -> Any:
-        key = self._key(event)
-        if self._agg_name == "countDistinct":
-            return self._size(key)
-        agg = self.store.get(key, self.cf)
-        return self._empty_value if agg is None else agg.value()
+    def update(self, st: list, key: Any, adds: list[Event], evicts: list[Event]) -> None:
+        """Apply one entity's arrivals to slot ``st``, then its evictions:
+        arrivals first, as one batch can both add and expire an event."""
+        full = st if self.aux_cf is None else [
+            st[0], _Multiplicities(self.store, self.aux_cf, key)]
+        f, add, evict = self._field_name, self.agg.add, self.agg.evict
+        for e in adds:
+            add(full, e["seq"], 1 if f is None else e.get(f))
+        for e in evicts:
+            evict(full, e["seq"], 1 if f is None else e.get(f))
+        if full is not st:
+            st[0] = full[0]
 
 
 class GroupByNode:
-    def __init__(self, fields: tuple[str, ...]):
+    """GroupBy operator: one store record per entity, in this node's own
+    column family, holding one plain state slot per leaf."""
+
+    def __init__(self, fields: tuple[str, ...], gid: int, store: StateStore):
         self.fields = fields
+        self.cf = f"g{gid}"
+        self.store = store
         self.leaves: list[AggregatorLeaf] = []
+        # entity → record this node put during the current advance; between
+        # advances the plan is the only writer of its column families
+        self.written: dict[Any, list] = {}
+        self._gb1 = fields[0] if len(fields) == 1 else None
+
+    def add_leaf(self, leaf: AggregatorLeaf) -> None:
+        self.leaves.append(leaf)
+        self.empty = self.new_record()
+
+    def new_record(self) -> list:
+        return [[0] if leaf.aux_cf else leaf.agg.new() for leaf in self.leaves]
+
+    def key(self, e: Event) -> Any:
+        if self._gb1 is not None:
+            return e.get(self._gb1)
+        return tuple(e.get(g) for g in self.fields)
 
     def apply(self, arrivals: list[Event], evictions: list[Event]) -> None:
-        for leaf in self.leaves:
-            leaf.apply(arrivals, evictions)
+        """One read-modify-write per touched entity; a record whose every
+        slot is empty again is deleted, so the store holds only entities
+        inside some window."""
+        by_key: dict[Any, tuple[list, list]] = {}
+        for e in arrivals:
+            by_key.setdefault(self.key(e), ([], []))[0].append(e)
+        for e in evictions:
+            by_key.setdefault(self.key(e), ([], []))[1].append(e)
+        store, cf = self.store, self.cf
+        for k, (adds, evicts) in by_key.items():
+            rec = store.get(k, cf) or self.new_record()
+            for leaf, st in zip(self.leaves, rec):
+                leaf.update(st, k, adds, evicts)
+            if rec == self.empty:
+                store.delete(k, cf)
+            else:
+                store.put(k, rec, cf)
+            self.written[k] = rec
 
 
 class FilterNode:
@@ -196,13 +178,12 @@ class TaskPlan:
         reservoir: EventReservoir,
         store: StateStore,
     ):
-        self.reservoir = reservoir
         self.store = store
         self.windows: dict[WindowSpec, WindowNode] = {}
         self.leaves: list[AggregatorLeaf] = []
+        self.groupbys: list[GroupByNode] = []
         heads: dict[int, ReservoirIterator] = {}
         tails: dict[tuple, ReservoirIterator] = {}
-        mid = 0
         for stmt in statements:
             for metric in stmt.metrics:
                 spec = metric.window
@@ -223,21 +204,18 @@ class TaskPlan:
                     fnode = wnode.filters[metric.filter_sql] = FilterNode(stmt.filter)
                 gbnode = fnode.group_bys.get(metric.group_by)
                 if gbnode is None:
-                    gbnode = fnode.group_bys[metric.group_by] = GroupByNode(metric.group_by)
-                leaf = AggregatorLeaf(metric, mid, store)
-                mid += 1
-                gbnode.leaves.append(leaf)
+                    gbnode = GroupByNode(metric.group_by, len(self.groupbys), store)
+                    fnode.group_bys[metric.group_by] = gbnode
+                    self.groupbys.append(gbnode)
+                leaf = AggregatorLeaf(metric, len(self.leaves), store)
+                gbnode.add_leaf(leaf)
                 self.leaves.append(leaf)
         self._iterators = set(heads.values()) | set(tails.values())
         # Windows with the same delay share a head iterator; advance each
         # unique head once per event and fan its arrivals out.
         self._head_groups: dict[int, tuple[ReservoirIterator, list[WindowNode]]] = {}
         for spec, wnode in self.windows.items():
-            entry = self._head_groups.get(spec.delay_ms)
-            if entry is None:
-                self._head_groups[spec.delay_ms] = (wnode.head, [wnode])
-            else:
-                entry[1].append(wnode)
+            self._head_groups.setdefault(spec.delay_ms, (wnode.head, []))[1].append(wnode)
 
     @property
     def iterator_count(self) -> int:
@@ -246,6 +224,8 @@ class TaskPlan:
 
     def advance(self, t_eval: int, late_event: Event | None = None,
                 late_pos: tuple[int, int] | None = None) -> None:
+        for gb in self.groupbys:
+            gb.written.clear()
         for delay_ms, (head, wnodes) in self._head_groups.items():
             behind = late_pos is not None and late_pos < head.position()
             arrivals: list[Event] = []
@@ -255,5 +235,25 @@ class TaskPlan:
                 wnode.advance(t_eval, arrivals, manual)
 
     def answers(self, event: Event) -> dict[str, Any]:
-        """Current aggregate values for the arriving event's entities."""
-        return {leaf.name: leaf.value_for(event) for leaf in self.leaves}
+        """Current aggregate values for the arriving event's entities: one
+        record per GroupBy, the one the last advance put if there is one."""
+        out: dict[str, Any] = {}
+        for gb in self.groupbys:
+            k = gb.key(event)
+            rec = gb.written.get(k) or self.store.get(k, gb.cf) or gb.empty
+            for leaf, st in zip(gb.leaves, rec):
+                out[leaf.name] = leaf.agg.value(st)
+        return out
+
+    def put_states(self, states: dict[AggregatorLeaf, dict[Any, list]]) -> None:
+        """Store entity states built outside the DAG (a vectorized warm
+        start): ``states[leaf][entity]`` is a slot, for every leaf; each
+        entity's slots are merged into one record per GroupBy and put once."""
+        for gb in self.groupbys:
+            gb.written.clear()
+            records: dict[Any, list] = {}
+            for i, leaf in enumerate(gb.leaves):
+                for k, st in states[leaf].items():
+                    records.setdefault(k, gb.new_record())[i] = st
+            for k, rec in records.items():
+                self.store.put(k, rec, gb.cf)

@@ -27,7 +27,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import DoubleType, StructField, StructType
 
-from .aggregators import make_aggregator
+from .aggregators import aggregator
 
 # Aggregations whose per-event answers these references support.
 NUMERIC_AGGS = ("count", "sum", "avg", "min", "max", "stdDev", "countDistinct")
@@ -50,22 +50,23 @@ def _sliding_group(
     ts = pdf["ts"].to_numpy()
     vals = pdf[field].to_numpy()
     n = len(pdf)
-    objs = [make_aggregator(a) for a in aggs]
+    impls = [aggregator(a) for a in aggs]
+    states = [g.new() for g in impls]
     out = np.full((len(aggs), n), np.nan)
     head = tail = 0
     for i in range(n):
         hi = ts[i] - delay_ms
         lo = hi - window_ms
         while head < n and ts[head] <= hi:
-            for o in objs:
-                o.add(head, vals[head])
+            for g, st in zip(impls, states):
+                g.add(st, head, vals[head])
             head += 1
         while tail < head and ts[tail] <= lo:
-            for o in objs:
-                o.evict(tail, vals[tail])
+            for g, st in zip(impls, states):
+                g.evict(st, tail, vals[tail])
             tail += 1
-        for j, o in enumerate(objs):
-            v = o.value()
+        for j, (g, st) in enumerate(zip(impls, states)):
+            v = g.value(st)
             if v is not None:
                 out[j, i] = float(v)
     res = pdf[["id", "ts", key]].copy()
@@ -103,21 +104,22 @@ def _hopping_group(
     ts = pdf["ts"].to_numpy()
     vals = pdf[field].to_numpy()
     n = len(pdf)
-    objs = [make_aggregator(a) for a in aggs]
+    impls = [aggregator(a) for a in aggs]
+    states = [g.new() for g in impls]
     out = np.full((len(aggs), n), np.nan)
     head = tail = 0
     for i in range(n):
         b = (ts[i] // hop_ms) * hop_ms  # end of the last completed window
         while head < n and ts[head] < b:
-            for o in objs:
-                o.add(head, vals[head])
+            for g, st in zip(impls, states):
+                g.add(st, head, vals[head])
             head += 1
         while tail < head and ts[tail] < b - window_ms:
-            for o in objs:
-                o.evict(tail, vals[tail])
+            for g, st in zip(impls, states):
+                g.evict(st, tail, vals[tail])
             tail += 1
-        for j, o in enumerate(objs):
-            v = o.value()
+        for j, (g, st) in enumerate(zip(impls, states)):
+            v = g.value(st)
             if v is not None:
                 out[j, i] = float(v)
     res = pdf[["id", "ts", key]].copy()

@@ -3,8 +3,10 @@
 The paper uses RocksDB; Python bindings for RocksDB are unavailable
 offline, so this is an embedded key-value store with the same *cost
 shape*: every read/write pays value (de)serialization (pickle), values
-live in column families (countDistinct uses its own, as in the paper),
-and checkpoints flush the store to disk so recovery can copy it.
+live in column families, and checkpoints flush the store to disk so
+recovery can copy it. The task plan keeps one record per entity per
+GroupBy in that GroupBy's column family, and countDistinct
+multiplicities in a column family per metric, as in the paper.
 
 ``gets`` and ``puts`` count the accesses.
 """

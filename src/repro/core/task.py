@@ -16,6 +16,7 @@ import os
 import shutil
 from typing import Any, Iterable
 
+from .aggregators import FROM_MOMENTS
 from .language import Statement, parse_statement
 from .plan import TaskPlan
 from .reservoir import Event, EventReservoir
@@ -98,46 +99,29 @@ class TaskProcessor:
         replaying events one by one), then seeks every window iterator to
         its steady-state position. Supports the decomposable aggregations
         (sum/count/avg/stdDev); metrics needing event order (min/max/
-        last/prev) must warm up via :meth:`warm_up`.
+        last/prev) must warm up via :meth:`warm_up`. Every metric is
+        checked before any state is written.
         """
-        from .aggregators import Avg, Count, StdDev, Sum
-
-        self.reservoir.flush()
         for leaf in self.plan.leaves:
-            lo, hi = leaf.metric.window.bounds(now_ts)
             if leaf.metric.filter_sql is not None:
                 raise ValueError("warm_start does not support filtered metrics")
+            if leaf.metric.agg not in FROM_MOMENTS:
+                raise ValueError(f"warm_start does not support {leaf.metric.agg!r}")
+        self.reservoir.flush()
+        states = {}
+        for leaf in self.plan.leaves:
+            lo, hi = leaf.metric.window.bounds(now_ts)
             sub = history[(history["ts"] > lo) & (history["ts"] <= hi)]
-            if sub.empty:
-                continue
             gb = list(leaf.metric.group_by)
-            field = leaf.metric.agg_field
-            agg = leaf.metric.agg
-            if agg in ("sum", "count", "avg"):
-                g = sub.groupby(gb[0] if len(gb) == 1 else gb)[field].agg(
-                    ["sum", "count"]
-                )
-                for key, row in g.iterrows():
-                    if agg == "count":
-                        obj = Count()
-                        obj.n = int(row["count"])
-                    else:
-                        obj = Sum() if agg == "sum" else Avg()
-                        obj.s = float(row["sum"])
-                        obj.n = int(row["count"])
-                    self.store.put(key, obj, leaf.cf)
-            elif agg == "stdDev":
-                g = sub.groupby(gb[0] if len(gb) == 1 else gb)[field].agg(
-                    ["count", "mean", "var"]
-                )
-                for key, row in g.iterrows():
-                    obj = StdDev()
-                    obj.n = int(row["count"])
-                    obj.mean = float(row["mean"])
-                    obj.m2 = float(row["var"]) * (obj.n - 1) if obj.n > 1 else 0.0
-                    self.store.put(key, obj, leaf.cf)
-            else:
-                raise ValueError(f"warm_start does not support {agg!r}")
+            g = sub.groupby(gb[0] if len(gb) == 1 else gb)[leaf.metric.agg_field].agg(
+                ["count", "sum", "var"]
+            )
+            m2 = g["var"].fillna(0.0) * (g["count"] - 1)
+            states[leaf] = {
+                key: FROM_MOMENTS[leaf.metric.agg](int(n), float(s), float(v))
+                for key, n, s, v in zip(g.index.tolist(), g["count"], g["sum"], m2)
+            }
+        self.plan.put_states(states)
         self._position_iterators(now_ts)
 
     # -- accounting ------------------------------------------------------------

@@ -30,7 +30,7 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from ..core.aggregators import make_aggregator
+from ..core.aggregators import aggregator
 
 _STATE_SCHEMA = StructType(
     [
@@ -85,7 +85,8 @@ def sliding_stateful_transform(
         val_all = val_buf + new[field].tolist()
         id_all = id_buf + new["id"].tolist()
         order = sorted(range(len(ts_all)), key=lambda i: (ts_all[i], id_all[i]))
-        objs = [make_aggregator(a) for a in aggs]
+        impls = [aggregator(a) for a in aggs]
+        states = [g.new() for g in impls]
         rows = []
         head = tail = 0
         # replay the merged buffer; answer only the new events
@@ -93,20 +94,21 @@ def sliding_stateful_transform(
             i = order[pos]
             while head <= pos:
                 j = order[head]
-                for o in objs:
-                    o.add(j, val_all[j])
+                for g, st in zip(impls, states):
+                    g.add(st, j, val_all[j])
                 head += 1
             while tail < head:
                 j = order[tail]
                 if ts_all[j] <= ts_all[i] - window_ms:
-                    for o in objs:
-                        o.evict(j, val_all[j])
+                    for g, st in zip(impls, states):
+                        g.evict(st, j, val_all[j])
                     tail += 1
                 else:
                     break
             if id_all[i] in new_ids:
                 vals = [
-                    float(v) if (v := o.value()) is not None else None for o in objs
+                    float(v) if (v := g.value(st)) is not None else None
+                    for g, st in zip(impls, states)
                 ]
                 rows.append([id_all[i], ts_all[i], k[0], *vals])
         t_max = max(ts_all)

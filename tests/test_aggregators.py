@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.aggregators import AGGREGATORS, make_aggregator
+from repro.core.aggregators import AGGREGATORS, aggregator
 
 
 def _reference(agg: str, values: list[float]) -> float | None:
@@ -36,13 +36,14 @@ def _reference(agg: str, values: list[float]) -> float | None:
 
 def _run_window(agg: str, values: list[float], window: int) -> None:
     """Slide a count-based window over `values`; check every evaluation."""
-    a = make_aggregator(agg)
+    g = aggregator(agg)
+    st = g.new()
     for i, v in enumerate(values):
-        a.add(i, v)
+        g.add(st, i, v)
         if i >= window:
-            a.evict(i - window, values[i - window])
+            g.evict(st, i - window, values[i - window])
         expect = _reference(agg, values[max(0, i - window + 1): i + 1])
-        got = a.value()
+        got = g.value(st)
         if expect is None:
             assert got is None, f"{agg}@{i}: {got} != None"
         else:
@@ -67,96 +68,113 @@ def test_sliding_correctness_duplicates(agg):
 
 @pytest.mark.parametrize("agg", sorted(AGGREGATORS))
 def test_empty_window_values(agg):
-    a = make_aggregator(agg)
+    g = aggregator(agg)
     if agg in ("count", "countDistinct"):
-        assert a.value() == 0
+        assert g.value(g.new()) == 0
     else:
-        assert a.value() is None
+        assert g.value(g.new()) is None
 
 
 @pytest.mark.parametrize("agg", sorted(AGGREGATORS))
 def test_add_then_full_evict_returns_to_empty(agg):
-    a = make_aggregator(agg)
+    g = aggregator(agg)
+    st = g.new()
     vals = [3.0, -1.0, 3.0, 8.5]
     for i, v in enumerate(vals):
-        a.add(i, v)
+        g.add(st, i, v)
     for i, v in enumerate(vals):
-        a.evict(i, v)
+        g.evict(st, i, v)
+    assert st == g.new()  # an emptied window is detectable by comparison
     if agg in ("count", "countDistinct"):
-        assert a.value() == 0
+        assert g.value(st) == 0
     else:
-        assert a.value() is None
+        assert g.value(st) is None
 
 
 def test_stddev_welford_matches_numpy_long_run():
-    a = make_aggregator("stdDev")
+    g = aggregator("stdDev")
+    st = g.new()
     rng = random.Random(7)
     values = [rng.gauss(1000.0, 5.0) for _ in range(2000)]
     w = 64
     for i, v in enumerate(values):
-        a.add(i, v)
+        g.add(st, i, v)
         if i >= w:
-            a.evict(i - w, values[i - w])
+            g.evict(st, i - w, values[i - w])
     expect = np.std(values[-w:], ddof=1)
-    assert a.value() == pytest.approx(expect, rel=1e-6)
+    assert g.value(st) == pytest.approx(expect, rel=1e-6)
 
 
 def test_stddev_single_element_none_after_evictions():
-    a = make_aggregator("stdDev")
-    a.add(0, 5.0)
-    a.add(1, 9.0)
-    a.evict(0, 5.0)
-    assert a.value() is None  # n = 1
+    g = aggregator("stdDev")
+    st = g.new()
+    g.add(st, 0, 5.0)
+    g.add(st, 1, 9.0)
+    g.evict(st, 0, 5.0)
+    assert g.value(st) is None  # n = 1
 
 
 def test_min_max_monotonic_deque_eviction_order():
-    mx = make_aggregator("max")
-    mx.add(0, 10.0)
-    mx.add(1, 3.0)
-    mx.add(2, 7.0)
-    assert mx.value() == 10.0
-    mx.evict(0, 10.0)
-    assert mx.value() == 7.0  # 3.0 was dominated and dropped
-    mx.evict(1, 3.0)  # not the deque front; no-op
-    assert mx.value() == 7.0
+    g = aggregator("max")
+    mx = g.new()
+    g.add(mx, 0, 10.0)
+    g.add(mx, 1, 3.0)
+    g.add(mx, 2, 7.0)
+    assert g.value(mx) == 10.0
+    g.evict(mx, 0, 10.0)
+    assert g.value(mx) == 7.0  # 3.0 was dominated and dropped
+    g.evict(mx, 1, 3.0)  # not the queue front; no-op
+    assert g.value(mx) == 7.0
 
 
 def test_count_distinct_multiplicity():
-    cd = make_aggregator("countDistinct")
-    cd.add(0, "a")
-    cd.add(1, "a")
-    cd.add(2, "b")
-    assert cd.value() == 2
-    cd.evict(0, "a")
-    assert cd.value() == 2  # one "a" still present
-    cd.evict(1, "a")
-    assert cd.value() == 1
+    g = aggregator("countDistinct")
+    cd = g.new()
+    g.add(cd, 0, "a")
+    g.add(cd, 1, "a")
+    g.add(cd, 2, "b")
+    assert g.value(cd) == 2
+    g.evict(cd, 0, "a")
+    assert g.value(cd) == 2  # one "a" still present
+    g.evict(cd, 1, "a")
+    assert g.value(cd) == 1
 
 
 def test_last_prev_semantics():
-    last, prev = make_aggregator("last"), make_aggregator("prev")
+    last, prev = aggregator("last"), aggregator("prev")
+    ls, ps = last.new(), prev.new()
     for i, v in enumerate([1.0, 2.0, 3.0]):
-        last.add(i, v)
-        prev.add(i, v)
-    assert last.value() == 3.0
-    assert prev.value() == 2.0
-    last.evict(0, 1.0)
-    prev.evict(0, 1.0)
-    assert last.value() == 3.0
-    assert prev.value() == 2.0
+        last.add(ls, i, v)
+        prev.add(ps, i, v)
+    assert last.value(ls) == 3.0
+    assert prev.value(ps) == 2.0
+    last.evict(ls, 0, 1.0)
+    prev.evict(ps, 0, 1.0)
+    assert last.value(ls) == 3.0
+    assert prev.value(ps) == 2.0
 
 
 def test_unknown_aggregation_rejected():
     with pytest.raises(ValueError, match="unknown aggregation"):
-        make_aggregator("median")
+        aggregator("median")
+
+
+def _builtins_only(x) -> bool:
+    if isinstance(x, (list, tuple)):
+        return all(_builtins_only(v) for v in x)
+    if isinstance(x, dict):
+        return all(_builtins_only(k) and _builtins_only(v) for k, v in x.items())
+    return type(x) in (int, float, str, bool, type(None))
 
 
 def test_aggregators_are_picklable():
-    """The state store serializes aggregator objects on every write."""
+    """The state store serializes every state on every write: states are
+    plain built-ins, so pickle takes no class-instance path."""
     import pickle
 
-    for name in AGGREGATORS:
-        a = make_aggregator(name)
-        a.add(0, 1.0)
-        b = pickle.loads(pickle.dumps(a))
-        assert b.value() == a.value()
+    for name, g in AGGREGATORS.items():
+        st = g.new()
+        g.add(st, 0, 1.0)
+        g.add(st, 1, 2.0)
+        assert _builtins_only(st), name
+        assert g.value(pickle.loads(pickle.dumps(st))) == g.value(st)

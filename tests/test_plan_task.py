@@ -11,6 +11,8 @@ from repro.core.language import parse_statement
 from repro.core.task import TaskProcessor
 from repro.core.windows import MINUTE, SECOND
 
+from .test_aggregators import _builtins_only
+
 
 def _payments(n=300, seed=0, n_cards=5, gap_ms=700):
     rng = np.random.default_rng(seed)
@@ -299,6 +301,80 @@ def test_warm_up_matches_brute_force_and_warm_start(tmp_path):
             _assert_answer(ans[m.name], _reference(m.agg, vals), (i, m.name))
         for name, got in start.process(events[i]).items():
             _assert_answer(got, ans[name], (i, name, "warm_start"))
+
+
+def test_rejected_warm_start_writes_nothing(tmp_path):
+    """Every metric is checked before any state is written."""
+    events = _payments(n=100)
+    for select, where in (("sum(amount), max(amount)", ""),
+                          ("sum(amount)", "WHERE amount > 50 ")):
+        tp = make_tp(tmp_path / select[:3] / where[:1], [
+            "SELECT sum(amount) FROM payments GROUP BY card_id OVER sliding 1 minute",
+            f"SELECT {select} FROM payments {where}GROUP BY card_id "
+            "OVER sliding 2 minutes",
+        ])
+        tp.prefill(events)
+        with pytest.raises(ValueError, match="warm_start does not support"):
+            tp.warm_start(pd.DataFrame(events), events[-1]["ts"])
+        assert len(tp.store) == 0
+
+
+ALL_AGGS = ("sum(amount), avg(amount), count(amount), stdDev(amount), max(amount), "
+            "min(amount), last(amount), prev(amount), countDistinct(merchant_id)")
+
+
+def test_one_record_per_entity_per_groupby(tmp_path):
+    """An arrival without evictions costs one get and one put per GroupBy
+    plus one multiplicity get/put per countDistinct leaf, and the answer
+    reuses the records in hand; every stored value is plain built-ins."""
+    tp = make_tp(tmp_path, [
+        f"SELECT {ALL_AGGS} FROM payments GROUP BY card_id OVER sliding 1 hour",
+        "SELECT sum(amount), countDistinct(card_id) FROM payments "
+        "GROUP BY merchant_id OVER sliding 1 hour",
+        "SELECT count(amount) FROM payments GROUP BY card_id, merchant_id OVER infinite",
+        "SELECT max(amount) FROM payments GROUP BY card_id "
+        "OVER sliding 1 hour delayed by 1 hour",
+    ])
+    store, plan = tp.store, tp.plan
+    assert len(plan.groupbys) == 4
+    per_event = 3 + 2  # undelayed GroupBys + countDistinct leaves
+    stranger = {"card_id": -1, "merchant_id": -1}
+    for e in _payments(n=150):  # < 1 minute: nothing is evicted
+        g0, p0 = store.gets, store.puts
+        tp.process(e)
+        # the delayed GroupBy saw no arrival: its answer is the one read
+        assert (store.gets - g0, store.puts - p0) == (per_event + 1, per_event)
+        g1 = store.gets
+        plan.answers(stranger)
+        assert store.gets - g1 == len(plan.groupbys)
+    cfs = [gb.cf for gb in plan.groupbys] + [
+        leaf.aux_cf for leaf in plan.leaves if leaf.aux_cf]
+    values = [store.get(k, cf) for cf in cfs for k in store.keys(cf)]
+    assert len(values) == len(store) > 0
+    assert all(_builtins_only(v) for v in values)
+
+
+def test_state_drifts_to_empty_after_a_quiet_gap(tmp_path):
+    """After a gap longer than every window + delay, the next event's
+    entity is the only one left in the plan's column families."""
+    tp = make_tp(tmp_path, [
+        f"SELECT {ALL_AGGS} FROM payments GROUP BY card_id OVER {w}"
+        for w in ("sliding 5 seconds", "sliding 4 seconds delayed by 3 seconds",
+                  "tumbling 7 seconds")
+    ] + ["SELECT count(amount) FROM payments GROUP BY merchant_id, card_id "
+         "OVER sliding 9 seconds delayed by 1 second"])
+    events = _payments(n=200, n_cards=6)
+    for e in events:
+        tp.process(e)
+    assert len(tp.store) > 0
+    last = dict(events[-1], id="after-gap", ts=events[-1]["ts"] + 20 * SECOND)
+    tp.process(last)
+    for gb in tp.plan.groupbys:
+        assert set(tp.store.keys(gb.cf)) <= {gb.key(last)}
+    for leaf in tp.plan.leaves:
+        if leaf.aux_cf:
+            assert {k for k, _ in tp.store.keys(leaf.aux_cf)} <= {last["card_id"]}
+    assert len(tp.store) > 0
 
 
 def test_checkpoint_recover_resumes_exactly(tmp_path):

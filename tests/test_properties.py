@@ -3,8 +3,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.aggregators import AGGREGATORS
 from repro.core.reservoir import EventReservoir
 from repro.core.task import TaskProcessor
+
+from .test_plan_task import _reference
 
 
 @st.composite
@@ -101,3 +104,48 @@ def test_checkpoint_recovery_transparent(tmp_path_factory, events, checkpoint_at
     )
     for e in events[cut:]:
         assert tp.process(e) == tp2.process(e)
+
+
+@st.composite
+def window_text(draw):
+    kind = draw(st.sampled_from(("sliding", "tumbling", "infinite")))
+    text = kind if kind == "infinite" else f"{kind} {draw(st.integers(1, 40)) * 500} ms"
+    delay = draw(st.sampled_from((0, 0, 1500, 7000)))
+    return text + (f" delayed by {delay} ms" if delay else "")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    events=event_stream(max_n=80),
+    windows=st.lists(window_text(), min_size=1, max_size=4),
+    aggs=st.lists(st.sampled_from(sorted(AGGREGATORS)), min_size=1, max_size=9,
+                  unique=True),
+    group_by=st.sampled_from((("card_id",), ("card_id", "merchant"))),
+)
+def test_random_in_order_plans_match_brute_force(
+    tmp_path_factory, events, windows, aggs, group_by
+):
+    """Every per-event answer of a random in-order plan equals the
+    aggregation of the events inside ``spec.bounds(t)`` for its entity."""
+    for e in events:
+        e["merchant"] = e["id"] % 3
+    select = ", ".join(f"{a}(amount)" for a in aggs)
+    tp = TaskProcessor(
+        "plans",
+        [f"SELECT {select} FROM s GROUP BY {', '.join(group_by)} OVER {w}"
+         for w in windows],
+        str(tmp_path_factory.mktemp("tp")),
+        reservoir_kwargs={"chunk_events": 8, "cache_chunks": 8},
+    )
+    for i, e in enumerate(events):
+        ans = tp.process(e)
+        for leaf in tp.plan.leaves:
+            m = leaf.metric
+            lo, hi = m.window.bounds(e["ts"])
+            vals = [x["amount"] for x in events[: i + 1]
+                    if lo < x["ts"] <= hi and all(x[g] == e[g] for g in group_by)]
+            expect = _reference(m.agg, vals)
+            if expect is None:
+                assert ans[m.name] is None, (i, m.name)
+            else:
+                assert ans[m.name] == pytest.approx(expect, rel=1e-9, abs=1e-6), (i, m.name)

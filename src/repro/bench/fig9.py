@@ -36,7 +36,8 @@ CACHE_CHUNKS = 220  # the paper's §5.2(b) cache size
 CHUNK_EVENTS = 256
 # worst-case demand load: prefetch defeated AND OS page cache missed →
 # full (EBS-like) IO read; deterministic 1-in-3 of demand loads
-IO_SEEK = {"io_seek_cost_us": 10_000.0, "io_seek_every": 3}
+# (``IO_SEEK_EVERY`` in core/reservoir.py)
+IO_SEEK = {"io_seek_cost_us": 10_000.0}
 
 WINDOW_SIZES = {
     "5min": 5 * MINUTE,

@@ -35,7 +35,7 @@ from .statestore import StateStore
 Event = dict
 
 
-def _pane_update(pane: dict[str, Any] | None, aggs: tuple[str, ...], v: float) -> dict:
+def _pane_update(pane: dict[str, Any] | None, v: float) -> dict:
     """Accumulate one value into a pane's per-aggregation accumulators.
 
     Hopping panes never evict (that is their whole memory advantage), so
@@ -117,7 +117,7 @@ class FlinkHoppingEngine:
         last = (ts // self.hop_ms) * self.hop_ms
         for start in range(first, last + self.hop_ms, self.hop_ms):
             pane = self.store.get((k, start), "panes")
-            self.store.put((k, start), _pane_update(pane, self.aggs, v), "panes")
+            self.store.put((k, start), _pane_update(pane, v), "panes")
             self._pending.setdefault(start + self.window_ms, set()).add(k)
         self.synthetic_us += self.overhead_us * self.panes_per_event
         # servable answer: the last completed window [b - w, b)

@@ -9,21 +9,25 @@ only a tiny, window-count-bound set of chunks in memory:
   ``lateness_ms`` of event time (closed for recent events, still open for
   late ones — the paper's watermark-like knob), then *sealed*: serialized
   column-wise with its schema id, zlib-compressed, and appended to an
-  ordered, append-only file. Files seal after ``chunks_per_file`` chunks
+  ordered, append-only file. Files seal after ``CHUNKS_PER_FILE`` chunks
   and become immutable.
 - An in-memory index of ``(first_ts, file, offset)`` per sealed chunk
   supports random reads (needed when a new window/metric is added).
 - **Iterators** read the reservoir in timestamp order. Each iterator holds
-  its current chunk directly; when it finishes a chunk it takes the next
-  one from the shared **prefetch cache** if present (an *async* load in
-  the paper — its CPU cost is accounted in ``discount_s`` so the latency
-  harness can keep it off the critical path), otherwise it performs a
-  *synchronous* demand load (read + decompress on the critical path —
-  exactly the §5.2(b) cache-miss tail-latency story). After moving into a
-  chunk, the iterator eagerly prefetches the next one (LRU-evicting: with
-  more concurrent iterators than cache slots, prefetched chunks are
-  evicted before use and every advance becomes a paid miss — the Fig 9b
-  cliff).
+  the chunk it is in, whether open, in transition or sealed: the open
+  list is the same object that later becomes the sealed chunk, so an
+  iterator keeps it across the seal. When it finishes a chunk it takes
+  the next one from the shared **prefetch cache** if present (an *async*
+  load in the paper — its CPU cost is accounted in ``discount_s`` so the
+  latency harness can keep it off the critical path), otherwise it
+  performs a *synchronous* demand load (read + decompress on the critical
+  path — exactly the §5.2(b) cache-miss tail-latency story). After moving
+  into a sealed chunk, the iterator eagerly prefetches the next one; if
+  that one was still open, its seal stages it in the cache instead, one
+  reservation per iterator holding the chunk before it. The cache is
+  LRU-evicting: with more concurrent iterators than cache slots, staged
+  chunks are evicted before use and every advance becomes a paid miss —
+  the Fig 9b cliff.
 - Out-of-order events are accepted while their chunk is open or in
   transition; afterwards they are dropped or timestamp-rewritten to the
   open chunk's first timestamp, per configuration. Events are deduplicated
@@ -43,6 +47,14 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 Event = dict  # {'id': ..., 'ts': int epoch-ms, <payload fields>}
+
+CHUNKS_PER_FILE = 64
+# synthetic syscall/page-cache cost of one demand load, µs
+IO_READ_COST_US = 25.0
+# §5.2(b) worst case: when prefetch is defeated, some demand loads miss
+# the OS page cache too and pay a full IO seek. Deterministic model:
+# every IO_SEEK_EVERY-th demand load also pays ``io_seek_cost_us``.
+IO_SEEK_EVERY = 3
 
 
 class SchemaRegistry:
@@ -77,19 +89,18 @@ class ChunkRef:
     chunk_id: int
     first_ts: int
     last_ts: int
-    n: int
     file_idx: int
     offset: int
     length: int
-    schema_id: int
 
 
 class _PrefetchCache:
     """LRU cache of decompressed chunks, shared by all iterators.
 
-    Only *prefetch* loads insert; demand loads are handed straight to the
-    requesting iterator. ``capacity`` is the paper's "chunk elements in
-    cache" knob (220 in §5.2(b)).
+    Prefetch loads and seals insert, one reservation per future reader;
+    demand loads are handed straight to the requesting iterator.
+    ``capacity`` is the paper's "chunk elements in cache" knob (220 in
+    §5.2(b)).
     """
 
     def __init__(self, capacity: int) -> None:
@@ -118,11 +129,16 @@ class _PrefetchCache:
             self.misses += 1
             return None
         self.hits += 1
-        self._pending[chunk_id] -= 1
-        if self._pending[chunk_id] <= 0:
-            del self._d[chunk_id]
-            del self._pending[chunk_id]
+        self.release(chunk_id)
         return ev
+
+    def release(self, chunk_id: int) -> None:
+        """Drop one reservation, e.g. of a reader that seeks away."""
+        if chunk_id in self._d:
+            self._pending[chunk_id] -= 1
+            if self._pending[chunk_id] <= 0:
+                del self._d[chunk_id]
+                del self._pending[chunk_id]
 
     def put(self, chunk_id: int, events: list[Event]) -> None:
         if chunk_id in self._d:
@@ -136,50 +152,53 @@ class _PrefetchCache:
         self._d[chunk_id] = events
         self._pending[chunk_id] = 1
 
-    def __contains__(self, chunk_id: int) -> bool:
-        return chunk_id in self._d
-
-    def __len__(self) -> int:
-        return len(self._d)
-
 
 class ReservoirIterator:
     """Timestamp-ordered cursor over the reservoir (a window head or tail).
 
     Position is ``(chunk_id, idx)``; ``advance_until`` yields every event
     with ``ts <= bound`` not yet yielded, loading chunks as needed.
+    ``_current`` is the chunk at ``chunk_id`` once resolved, in any state.
     """
 
     def __init__(self, reservoir: "EventReservoir", chunk_id: int, idx: int):
         self.r = reservoir
         self.chunk_id = chunk_id
         self.idx = idx
-        self._current: list[Event] | None = None  # sealed chunks only
+        self._current: list[Event] | None = None
+        self._reserved = False  # holds a cache reservation on chunk_id + 1
         reservoir._iterators.append(self)
 
     def close(self) -> None:
+        self._release()
         self.r._iterators.remove(self)
         self._current = None
+
+    def _release(self) -> None:
+        if self._reserved:
+            self.r.cache.release(self.chunk_id + 1)
+            self._reserved = False
 
     def position(self) -> tuple[int, int]:
         return (self.chunk_id, self.idx)
 
-    def _events_of_current(self) -> list[Event]:
+    def _enter(self) -> list[Event]:
         r = self.r
         if self.chunk_id == r._open_id:
             return r._open
-        for cid, events, _ in r._transition:
-            if cid == self.chunk_id:
-                return events
-        if self._current is None:
-            self._current = r._fetch_sealed(self.chunk_id, prefetch=True)
-        return self._current
+        if self.chunk_id >= len(r._index):
+            return next(e for cid, e, _ in r._transition if cid == self.chunk_id)
+        events = r._fetch_sealed(self.chunk_id)
+        self._reserved = r._prefetch(self.chunk_id + 1)
+        return events
 
     def advance_until(self, bound_ts: int, out: list[Event]) -> None:
         """Append to ``out`` all not-yet-yielded events with ts <= bound."""
         r = self.r
         while True:
-            events = self._events_of_current()
+            events = self._current
+            if events is None:
+                events = self._current = self._enter()
             n = len(events)
             while self.idx < n and events[self.idx]["ts"] <= bound_ts:
                 out.append(events[self.idx])
@@ -189,6 +208,7 @@ class ReservoirIterator:
             self.chunk_id += 1
             self.idx = 0
             self._current = None
+            self._reserved = False  # the take on entering consumes it
 
     def seek_after(self, bound_ts: int) -> None:
         """Position the cursor just past every event with ts <= bound.
@@ -197,6 +217,7 @@ class ReservoirIterator:
         scanning — how a recovering or newly-added window attaches.
         """
         r = self.r
+        self._release()
         self._current = None
         firsts = [c.first_ts for c in r._index]
         lo = bisect.bisect_right(firsts, bound_ts) - 1
@@ -207,7 +228,7 @@ class ReservoirIterator:
         if bound_ts >= ref.last_ts:
             self.chunk_id, self.idx = lo + 1, 0
             return
-        events = r._fetch_sealed(lo, prefetch=False)
+        events = r._fetch_sealed(lo)
         self.idx = bisect.bisect_right([e["ts"] for e in events], bound_ts)
         self.chunk_id = lo
         self._current = events
@@ -221,13 +242,10 @@ class EventReservoir:
         data_dir: str,
         *,
         chunk_events: int = 512,
-        chunks_per_file: int = 64,
         cache_chunks: int = 128,
         out_of_order: str = "drop",  # or "rewrite"
         lateness_ms: int = 0,
-        io_read_cost_us: float = 25.0,
         io_seek_cost_us: float = 0.0,
-        io_seek_every: int = 0,
         schema: Iterable[str] | None = None,
     ) -> None:
         if out_of_order not in ("drop", "rewrite"):
@@ -235,25 +253,14 @@ class EventReservoir:
         os.makedirs(data_dir, exist_ok=True)
         self.dir = data_dir
         self.chunk_events = chunk_events
-        self.chunks_per_file = chunks_per_file
         self.out_of_order = out_of_order
         self.lateness_ms = lateness_ms
-        self.io_read_cost_us = io_read_cost_us
-        # §5.2(b) worst case: when prefetch is defeated, some demand loads
-        # miss the OS page cache too and pay a full IO seek. Deterministic
-        # model: every `io_seek_every`-th demand load pays `io_seek_cost_us`.
         self.io_seek_cost_us = io_seek_cost_us
-        self.io_seek_every = io_seek_every
         self.registry = SchemaRegistry()
         if schema is not None:
             self.registry.register(schema)
         self.cache = _PrefetchCache(cache_chunks)
-        # Freshly sealed chunks linger in memory (they were just the open
-        # chunk; persistence is asynchronous — paper footnotes 3–4), so
-        # iterators trailing just behind the frontier read them for free.
-        self._recent: OrderedDict[int, list[Event]] = OrderedDict()
-        self._recent_cap = 3
-        self.recent_hits = 0
+        self.recent_hits = 0  # iterators that kept their chunk across its seal
 
         self._index: list[ChunkRef] = []  # sealed chunks, position == chunk_id
         self._transition: list[tuple[int, list[Event], int]] = []  # (cid, evs, close_ts)
@@ -263,8 +270,8 @@ class EventReservoir:
         self._iterators: list[ReservoirIterator] = []
         self._files: list[str] = []
         self._write_fh = None
+        self._chunks_in_current_file = 0
         self._read_fds: dict[int, int] = {}
-        self._last_sealed_ts: int | None = None
         self._last_closed_ts: int | None = None  # max ts at chunk *closure*
         self.total_events = 0
         self.dropped_late = 0
@@ -284,7 +291,7 @@ class EventReservoir:
         return os.path.join(self.dir, f"reservoir-{idx:06d}.bin")
 
     def _current_file(self) -> tuple[int, Any]:
-        if self._write_fh is None or self._chunks_in_current_file >= self.chunks_per_file:
+        if self._write_fh is None or self._chunks_in_current_file >= CHUNKS_PER_FILE:
             if self._write_fh is not None:
                 self._write_fh.close()
             idx = len(self._files)
@@ -293,8 +300,6 @@ class EventReservoir:
             self._write_fh = open(path, "ab")
             self._chunks_in_current_file = 0
         return len(self._files) - 1, self._write_fh
-
-    _chunks_in_current_file = 0
 
     # -- append path --------------------------------------------------------
 
@@ -390,22 +395,26 @@ class EventReservoir:
         fh.write(blob)
         fh.flush()
         self._chunks_in_current_file += 1
-        self._recent[chunk_id] = events
-        while len(self._recent) > self._recent_cap:
-            self._recent.popitem(last=False)
         self._index.append(
             ChunkRef(
                 chunk_id=chunk_id,
                 first_ts=events[0]["ts"],
                 last_ts=events[-1]["ts"],
-                n=len(events),
                 file_idx=file_idx,
                 offset=offset,
                 length=len(blob),
-                schema_id=sid,
             )
         )
-        self._last_sealed_ts = events[-1]["ts"]
+        # Iterators inside the chunk keep it. Those holding the chunk
+        # before it get it staged: the prefetch they could not make while
+        # it was open.
+        for it in self._iterators:
+            if it.chunk_id == chunk_id:
+                it._current = events
+                self.recent_hits += 1
+            elif it.chunk_id == chunk_id - 1 and it._current is not None:
+                self.cache.put(chunk_id, events)
+                it._reserved = True
         for e in events:
             eid = e.get("id")
             if eid is not None:
@@ -428,46 +437,38 @@ class EventReservoir:
     def _load_sealed(self, chunk_id: int) -> list[Event]:
         return self._decode(self._read_blob(self._index[chunk_id]))
 
-    def _fetch_sealed(self, chunk_id: int, *, prefetch: bool) -> list[Event]:
+    def _fetch_sealed(self, chunk_id: int) -> list[Event]:
         """Fetch a sealed chunk for iteration.
 
         Cache hit → free. Miss → *demand load* on the critical path
-        (+ synthetic page-cache/syscall cost). Either way, eagerly prefetch
-        the next sealed chunk into the shared cache, with its CPU time
-        accumulated into ``discount_s`` (async in the paper).
+        (+ synthetic page-cache/syscall cost).
         """
-        recent = self._recent.get(chunk_id)
-        if recent is not None:
-            self.recent_hits += 1
-            if prefetch:
-                self._prefetch(chunk_id + 1)
-            return recent
         events = self.cache.take(chunk_id)
         if events is None:
             self.demand_loads += 1
-            self.synthetic_us += self.io_read_cost_us
-            if self.io_seek_every and self.demand_loads % self.io_seek_every == 0:
+            self.synthetic_us += IO_READ_COST_US
+            if self.demand_loads % IO_SEEK_EVERY == 0:
                 self.synthetic_us += self.io_seek_cost_us
             events = self._load_sealed(chunk_id)
-        if prefetch:
-            self._prefetch(chunk_id + 1)
         return events
 
-    def _prefetch(self, chunk_id: int) -> None:
+    def _prefetch(self, chunk_id: int) -> bool:
         """Asynchronously stage a chunk for its next reader.
 
         If another iterator already staged it, just add a reservation —
         the loaded copy serves every reader (shared cache). The CPU time
         goes to ``discount_s``: prefetching is off the critical path.
+        Returns whether a reservation was made (False: not sealed yet).
         """
         if chunk_id >= len(self._index):
-            return  # not sealed yet
+            return False
         if self.cache.reserve(chunk_id):
-            return
+            return True
         t0 = time.perf_counter()
         self.cache.put(chunk_id, self._load_sealed(chunk_id))
         self.prefetch_loads += 1
         self.discount_s += time.perf_counter() - t0
+        return True
 
     def iterator(self) -> ReservoirIterator:
         """Open a cursor at the start; ``seek_after`` repositions it."""
@@ -491,14 +492,15 @@ class EventReservoir:
         return s, d
 
     def memory_events(self) -> int:
-        """Events currently held in memory (open + transition + cache)."""
-        cached = sum(len(v) for v in self.cache._d.values())
-        cached += sum(len(v) for v in self._recent.values())
-        trans = sum(len(e) for _, e, _ in self._transition)
-        held = sum(
-            len(it._current) for it in self._iterators if it._current is not None
-        )
-        return len(self._open) + trans + cached + held
+        """Events held in memory, counting each in-memory chunk once.
+
+        A chunk can be open, in transition, cached and held by iterators
+        at the same time; it is one list object in all of those places.
+        """
+        chunks = [self._open, *(e for _, e, _ in self._transition),
+                  *self.cache._d.values(),
+                  *(it._current for it in self._iterators if it._current is not None)]
+        return sum(len(c) for c in {id(c): c for c in chunks}.values())
 
     def sealed_chunks(self) -> int:
         return len(self._index)
@@ -535,7 +537,6 @@ class EventReservoir:
         for sid, fields in sorted(meta["schemas"].items()):
             self.registry.register(fields)
         if self._index:
-            self._last_sealed_ts = self._index[-1].last_ts
             self._last_closed_ts = self._index[-1].last_ts
         # reopen the last file for appends if it is not full
         if self._files:

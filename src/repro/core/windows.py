@@ -4,7 +4,7 @@ Railgun supports real-time **sliding**, **tumbling** and **infinite** time
 windows, each optionally **delayed** by an offset (useful in bot-attack
 scenarios). Hopping windows are deliberately not part of the Railgun
 language — the paper treats them as an approximation — but the baseline
-engines in :mod:`repro.core.hopping` implement them for §5.1.
+engines in :mod:`repro.core.engines` implement them for §5.1.
 
 Membership semantics (DESIGN.md §4): when an event with timestamp ``t``
 arrives, the evaluation instant is "the moment right after" ``t``, so for a
@@ -74,10 +74,9 @@ class WindowSpec:
             raise ValueError("delay must be >= 0")
 
     def bounds(self, t_eval: int) -> tuple[int, int]:
-        """Inclusive-exclusive... actually (lo, hi] bounds for evaluation at
-        an event with timestamp ``t_eval``: events with ``lo < t_i <= hi``
-        belong to this evaluation. ``lo`` may be very negative for infinite
-        windows.
+        """Half-open ``(lo, hi]`` bounds for evaluation at an event with
+        timestamp ``t_eval``: events with ``lo < t_i <= hi`` belong to this
+        evaluation. ``lo`` may be very negative for infinite windows.
         """
         hi = t_eval - self.delay_ms
         if self.kind == "sliding":

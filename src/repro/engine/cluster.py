@@ -18,7 +18,7 @@ import os
 from typing import Any
 
 from ..core.language import parse_statement
-from ..kafka import AssignmentInput, GroupCoordinator, MiniKafka, sticky_assign
+from ..kafka import AssignmentInput, MiniKafka, sticky_assign
 from .node import FrontEnd, ProcessorUnit, Task
 
 
@@ -33,10 +33,8 @@ class RailgunCluster:
         units_per_node: int = 2,
         replication: int = 2,
         reservoir_kwargs: dict | None = None,
-        session_timeout_ms: int = 10_000,
     ):
         self.kafka = MiniKafka()
-        self.coordinator = GroupCoordinator(session_timeout_ms)
         self.replication = replication
         self.data_root = data_root
         self.reservoir_kwargs = reservoir_kwargs or {"chunk_events": 64, "cache_chunks": 32}
@@ -45,7 +43,6 @@ class RailgunCluster:
         self.nodes: list[str] = []
         self._streams: dict[str, dict] = {}  # stream -> {partitioners, partitions}
         self._topic_statements: dict[str, list[str]] = {}
-        self._now_ms = 0
         self._event_counter = itertools.count()
         self._upn = units_per_node
         for i in range(n_nodes):
@@ -62,7 +59,6 @@ class RailgunCluster:
                 uid, node_id, self.kafka, os.path.join(self.data_root, "units"),
                 reservoir_kwargs=self.reservoir_kwargs,
             )
-            self.coordinator.join("railgun-active", uid, self._now_ms)
 
     def _units_per_node(self) -> int:
         return self._upn
@@ -73,11 +69,10 @@ class RailgunCluster:
         self.rebalance()
 
     def kill_node(self, node_id: str) -> None:
-        """Hard failure: units stop heartbeating and are evicted."""
-        for uid, u in self.units.items():
+        """Hard failure: the node's units stop, and a rebalance moves their tasks."""
+        for u in self.units.values():
             if u.node_id == node_id:
                 u.alive = False
-                self.coordinator.leave("railgun-active", uid)
         self.nodes.remove(node_id)
         self.rebalance()
 
@@ -197,7 +192,6 @@ class RailgunCluster:
         fe = self.frontends[node]
         if "id" not in event:
             event = dict(event, id=f"ev{next(self._event_counter)}")
-        self._now_ms = max(self._now_ms, event["ts"])
         fe.send(stream, self._streams[stream]["partitioners"], event)
         for _ in range(max_steps):
             self.step()

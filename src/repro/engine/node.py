@@ -22,8 +22,6 @@ from ..kafka import MiniKafka
 
 Task = tuple[str, int]  # (topic, partition)
 
-ACTIVE_GROUP = "railgun-active"  # one consumer group for all actives (§3.3)
-
 
 class FrontEnd:
     """Client entry point of one Railgun node."""
@@ -142,8 +140,6 @@ class ProcessorUnit:
                         key=rec.value["id"],
                         value={"event_id": rec.value["id"], "answers": answers},
                     )
-            if task in self.active:
-                self.kafka.commit(ACTIVE_GROUP, topic, p, self._pos[task])
         return n
 
     def checkpoint_task(self, task: Task) -> dict:

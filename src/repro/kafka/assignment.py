@@ -31,7 +31,7 @@ Task = Hashable  # (topic, partition)
 
 @dataclass
 class AssignmentInput:
-    """Cluster metadata the group coordinator collects before assigning."""
+    """Cluster metadata ``RailgunCluster.rebalance`` collects before assigning."""
 
     tasks: list[Task]
     processors: dict[str, str]  # processor id -> physical node id

@@ -8,8 +8,7 @@ Provides the exact properties the paper needs from Kafka (§3.3):
   *partitioner* value (e.g. the card id);
 - pull-based consumption: consumers fetch from an offset they track, so a
   recovering node can rewind the stream and replay unprocessed messages
-  without slowing anyone else down;
-- committed offsets per consumer group.
+  without slowing anyone else down.
 """
 from __future__ import annotations
 
@@ -48,7 +47,6 @@ class MiniKafka:
 
     def __init__(self) -> None:
         self._topics: dict[str, list[_Partition]] = {}
-        self._committed: dict[tuple[str, str, int], int] = {}  # (group, topic, p) -> next offset
         self.produced = 0
 
     # -- topic management --------------------------------------------------
@@ -98,12 +96,3 @@ class MiniKafka:
 
     def end_offset(self, topic: str, partition: int) -> int:
         return len(self._topics[topic][partition].records)
-
-    # -- consumer-group offsets ---------------------------------------------------
-
-    def commit(self, group: str, topic: str, partition: int, offset: int) -> None:
-        """Record that ``group`` has processed everything before ``offset``."""
-        self._committed[(group, topic, partition)] = offset
-
-    def committed(self, group: str, topic: str, partition: int) -> int:
-        return self._committed.get((group, topic, partition), 0)

@@ -1,8 +1,8 @@
-"""Tests for the MiniKafka substrate: logs, groups, sticky assignment."""
+"""Tests for the MiniKafka substrate: logs and sticky assignment."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kafka import AssignmentInput, GroupCoordinator, MiniKafka, sticky_assign
+from repro.kafka import AssignmentInput, MiniKafka, sticky_assign
 from repro.kafka.log import stable_hash
 
 
@@ -40,42 +40,9 @@ def test_fetch_by_offset_and_replay():
     assert [r.offset for r in k.fetch("t", 0, 0, 3)] == [0, 1, 2]
 
 
-def test_commit_tracking_per_group():
-    k = MiniKafka()
-    k.create_topic("t", 2)
-    k.commit("g1", "t", 0, 5)
-    assert k.committed("g1", "t", 0) == 5
-    assert k.committed("g2", "t", 0) == 0  # groups are independent
-
-
 def test_stable_hash_is_deterministic():
     assert stable_hash("card-1") == stable_hash("card-1")
     assert stable_hash(("t", 1)) != stable_hash(("t", 2))
-
-
-# -- consumer groups ---------------------------------------------------------------
-
-def test_group_membership_and_rebalance_callbacks():
-    gc = GroupCoordinator(session_timeout_ms=100)
-    seen = []
-    gc.on_rebalance("g", lambda m: seen.append(list(m)))
-    gc.join("g", "c1", now_ms=0)
-    gc.join("g", "c2", now_ms=0)
-    assert seen == [["c1"], ["c1", "c2"]]
-    gc.heartbeat("g", "c1", now_ms=50)
-    assert gc.expire(now_ms=120) == [("g", "c2")]  # c2 missed heartbeats
-    assert seen[-1] == ["c1"]
-    gc.leave("g", "c1")
-    assert seen[-1] == []
-    assert gc.generation["g"] == 4
-
-
-def test_rejoining_member_does_not_rebalance():
-    gc = GroupCoordinator()
-    gc.join("g", "c1", 0)
-    gen = gc.generation["g"]
-    gc.join("g", "c1", 10)  # same member: heartbeat-like, no rebalance
-    assert gc.generation["g"] == gen
 
 
 # -- sticky assignment (Fig 7) ----------------------------------------------------

@@ -54,6 +54,52 @@ def test_reservoir_iterator_bound_is_exact(tmp_path_factory, events, chunk, boun
     assert [e["id"] for e in out] == [e["id"] for e in events if e["ts"] <= bound]
 
 
+def _held_events(r):
+    """Distinct event objects in the reservoir's in-memory holders."""
+    holders = [r._open, *(e for _, e, _ in r._transition), *r.cache._d.values(),
+               *(it._current for it in r._iterators if it._current is not None)]
+    return len({id(e) for chunk in holders for e in chunk})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    events=event_stream(),
+    chunk=st.integers(2, 16),
+    n_iters=st.integers(1, 6),
+    spare_slots=st.integers(0, 2),
+    data=st.data(),
+)
+def test_iterators_read_exactly_without_demand_loads(
+    tmp_path_factory, events, chunk, n_iters, spare_slots, data
+):
+    """In-order appends interleaved with random-bound advances: every
+    iterator yields the brute-force events in order, no chunk is demand
+    loaded while the cache has a slot per iterator, memory_events()
+    counts each event in memory once, and no reservation outlives its
+    iterator."""
+    r = EventReservoir(
+        str(tmp_path_factory.mktemp("res")), chunk_events=chunk,
+        cache_chunks=n_iters + spare_slots,
+    )
+    iters = [r.iterator() for _ in range(n_iters)]
+    seen = [[] for _ in iters]
+    for i, e in enumerate(events):
+        r.append(dict(e, seq=i))
+        for j in data.draw(st.lists(st.integers(0, n_iters - 1), max_size=n_iters)):
+            bound = data.draw(st.integers(0, e["ts"] + 5_000))
+            before = len(seen[j])
+            iters[j].advance_until(bound, seen[j])
+            # a cursor never moves back: it has read every stored event up
+            # to the highest bound so far
+            upto = max(before, sum(x["ts"] <= bound for x in events[: i + 1]))
+            assert [x["id"] for x in seen[j]] == [x["id"] for x in events[:upto]]
+        assert r.memory_events() == _held_events(r)
+    assert r.demand_loads == 0
+    for it in iters:
+        it.close()
+    assert not r.cache._d  # every staged chunk had a reader
+
+
 @settings(max_examples=25, deadline=None)
 @given(events=event_stream(max_n=80), window_s=st.integers(1, 30))
 def test_task_processor_count_matches_bruteforce(tmp_path_factory, events, window_s):

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from repro.core.reservoir import EventReservoir
+from repro.core.reservoir import CHUNKS_PER_FILE, IO_READ_COST_US, EventReservoir
 
 
 def _ev(i, ts=None, **extra):
@@ -12,7 +12,6 @@ def _ev(i, ts=None, **extra):
 
 def make(tmp_path, **kw):
     kw.setdefault("chunk_events", 8)
-    kw.setdefault("chunks_per_file", 4)
     kw.setdefault("cache_chunks", 16)
     kw.setdefault("schema", ("id", "ts", "v", "seq"))
     return EventReservoir(str(tmp_path / "res"), **kw)
@@ -38,8 +37,8 @@ def test_chunks_seal_at_capacity(tmp_path):
 
 def test_files_rotate_after_max_chunks(tmp_path):
     r = make(tmp_path)
-    _fill(r, 8 * 5)  # 5 chunks, 4 per file
-    assert r.sealed_chunks() == 5
+    _fill(r, 8 * (CHUNKS_PER_FILE + 1))
+    assert r.sealed_chunks() == CHUNKS_PER_FILE + 1
     assert len(r._files) == 2
     assert all(os.path.exists(p) for p in r._files)
 
@@ -210,10 +209,9 @@ def test_prefetch_makes_sequential_reads_cache_hits(tmp_path):
     out = []
     it.advance_until(10**9, out)
     assert len(out) == 80
-    # chunk 0 is a demand load; chunks 1.. come from prefetch, except the
-    # freshly sealed tail of the reservoir, served from the recent buffer
+    # chunk 0 is a demand load; chunks 1..9 come from prefetch
     assert r.demand_loads == 1
-    assert r.cache.hits + r.recent_hits >= 8
+    assert r.cache.hits == 9
 
 
 def test_cache_thrash_when_more_iterators_than_slots(tmp_path):
@@ -258,6 +256,48 @@ def test_memory_events_bounded_by_iterators_not_history(tmp_path):
     assert r2.memory_events() <= r1.memory_events() + 8 * 5
 
 
+def test_memory_events_counts_a_shared_chunk_once(tmp_path):
+    """Two iterators inside one sealed chunk hold one list, counted once."""
+    r = make(tmp_path, chunk_events=4)
+    a, b = r.iterator(), r.iterator()
+    _fill(r, 2)
+    for it in (a, b):
+        it.advance_until(5, [])  # read event 0 while chunk 0 is open
+    _fill(r, 8, start=2)  # chunks 0 and 1 seal; events 8, 9 stay open
+    for it in (a, b):
+        it.advance_until(15, [])  # still inside chunk 0
+    assert r.sealed_chunks() == 2
+    assert r.memory_events() == 10  # chunk 0 (held) + chunk 1 (staged) + 2 open
+    assert r.demand_loads == r.prefetch_loads == 0
+
+
+def test_iterator_keeps_an_open_chunk_across_its_seal(tmp_path):
+    """A stalled iterator that read chunk 0 while it was open catches up
+    through seven later seals without a demand load."""
+    r = make(tmp_path, cache_chunks=4)
+    it = r.iterator()
+    _fill(r, 3)
+    it.advance_until(15, [])  # events 0, 1 of the open chunk 0
+    _fill(r, 8 * 8 - 3, start=3)  # chunks 0..7 seal
+    assert r.sealed_chunks() == 8
+    out = []
+    it.advance_until(10**9, out)
+    assert [e["id"] for e in out] == list(range(2, 64))
+    assert r.demand_loads == 0
+
+
+def test_seek_releases_the_chunk_staged_for_the_old_position(tmp_path):
+    r = make(tmp_path, chunk_events=4)
+    it = r.iterator()  # sits at chunk 0 while history is appended
+    _fill(r, 4 * 6)
+    assert set(r.cache._d) == {1}  # staged for it when chunk 1 sealed
+    it.seek_after(125)  # into chunk 3
+    assert not r.cache._d
+    out = []
+    it.advance_until(10**9, out)
+    assert [e["id"] for e in out] == list(range(13, 24))
+
+
 # -- schema registry --------------------------------------------------------------
 
 def test_schema_evolution_roundtrip(tmp_path):
@@ -284,8 +324,7 @@ def test_checkpoint_restore_roundtrip(tmp_path):
     meta = r.checkpoint()
     assert r.sealed_chunks() == 4  # 30 events / 8 per chunk, flushed
     r2 = EventReservoir(
-        str(tmp_path / "res"), chunk_events=8, chunks_per_file=4,
-        schema=("id", "ts", "v", "seq"),
+        str(tmp_path / "res"), chunk_events=8, schema=("id", "ts", "v", "seq")
     )
     r2.load(meta)
     out = []
@@ -297,12 +336,12 @@ def test_checkpoint_restore_roundtrip(tmp_path):
 
 
 def test_costs_accounting(tmp_path):
-    r = make(tmp_path, cache_chunks=8, io_read_cost_us=25.0)
+    r = make(tmp_path, cache_chunks=8)
     _fill(r, 8 * 6)
     it = r.iterator()
     sink = []
     it.advance_until(10**9, sink)
     syn, disc = r.take_costs()
-    assert syn == pytest.approx(25.0)  # one demand load
+    assert syn == pytest.approx(IO_READ_COST_US)  # one demand load
     assert disc > 0  # prefetch CPU time was accounted for discounting
     assert r.take_costs() == (0.0, 0.0)  # reset

@@ -3,23 +3,28 @@
 Each aggregation is one stateless implementation over a plain state of
 built-ins only, so the state store serializes a few scalars per entity,
 as the paper's RocksDB store does: ``new()`` is an empty window's state,
-``add(state, seq, value)`` / ``evict(state, seq, value)`` update it in
+``add(state, ts, value)`` / ``evict(state, ts, value)`` update it in
 place as an event enters / leaves the window, and ``value(state)`` is the
-aggregate. A state whose window emptied equals ``new()`` again. ``seq``
-is the event's increasing sequence number inside its task, the key of
-the min/max monotonic queues (paper cites Knuth's deque [30]).
+aggregate. A state whose window emptied equals ``new()`` again. ``ts``
+is the event's timestamp (its rank in ts order for the Spark references),
+the key of the min/max monotonic queues (paper cites Knuth's deque [30])
+and of the last/prev queues. A late key is inserted in order. Equal keys
+need no tie-break: a window's tail evicts all events of one ts at once.
 
 States: sum and avg ``[s, n]``; count ``[n]``; stdDev ``[n, mean, m2]``
 (Welford's online algorithm, paper ref [50], evicted by the reverse
-step); max, min, last and prev a list of ``(seq, value)`` pairs;
+step); max, min, last and prev a list of ``(ts, value)`` pairs;
 countDistinct ``[n, counts]``, ``counts`` a value→multiplicity mapping
 (the task plan passes in its dedicated column family, as in the paper).
 """
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from typing import Any
+
+_key = operator.itemgetter(0)
 
 
 class Count:
@@ -32,11 +37,11 @@ class Count:
         return [0]
 
     @staticmethod
-    def add(st: list, seq: int, value: Any) -> None:
+    def add(st: list, ts: int, value: Any) -> None:
         st[0] += 1
 
     @staticmethod
-    def evict(st: list, seq: int, value: Any) -> None:
+    def evict(st: list, ts: int, value: Any) -> None:
         st[0] -= 1
 
     @staticmethod
@@ -55,12 +60,12 @@ class Sum:
         return [0.0, 0]
 
     @staticmethod
-    def add(st: list, seq: int, value: Any) -> None:
+    def add(st: list, ts: int, value: Any) -> None:
         st[0] += value
         st[1] += 1
 
     @staticmethod
-    def evict(st: list, seq: int, value: Any) -> None:
+    def evict(st: list, ts: int, value: Any) -> None:
         st[1] -= 1
         st[0] = st[0] - value if st[1] else 0.0  # no drift once empty
 
@@ -90,7 +95,7 @@ class StdDev:
         return [0, 0.0, 0.0]
 
     @staticmethod
-    def add(st: list, seq: int, value: Any) -> None:
+    def add(st: list, ts: int, value: Any) -> None:
         n, mean, m2 = st
         n += 1
         d = value - mean
@@ -98,7 +103,7 @@ class StdDev:
         st[:] = n, mean, m2 + d * (value - mean)
 
     @staticmethod
-    def evict(st: list, seq: int, value: Any) -> None:
+    def evict(st: list, ts: int, value: Any) -> None:
         n, mean, m2 = st
         if n == 1:
             st[:] = 0, 0.0, 0.0
@@ -114,32 +119,38 @@ class StdDev:
 
 
 class _Queue:
-    """A list of ``(seq, value)`` pairs, oldest first; ``evict`` pops the
-    front when the expiring event is the one it holds."""
+    """A list of ``(ts, value)`` pairs in ts order, oldest first; ``evict``
+    pops the front when the expiring event has its key."""
 
     @staticmethod
     def new() -> list:
         return []
 
     @staticmethod
-    def evict(st: list, seq: int, value: Any) -> None:
-        if st and st[0][0] == seq:
+    def evict(st: list, ts: int, value: Any) -> None:
+        if st and st[0][0] == ts:
             del st[0]
 
 
 class Max(_Queue):
     """Sliding-window extreme via a monotonic queue: the front is always
-    the current extreme. Amortized O(1) per event."""
+    the current extreme. A new key removes the older entries it dominates;
+    a late one is dropped if a newer entry is at least as extreme."""
 
     name = "max"
-    _keep = operator.gt  # whether the queue's tail survives a new value
+    _keep = operator.gt  # keep(a, b): an entry of value a survives a newer b
 
     @classmethod
-    def add(cls, st: list, seq: int, value: Any) -> None:
+    def add(cls, st: list, ts: int, value: Any) -> None:
         keep = cls._keep
-        while st and not keep(st[-1][1], value):
-            st.pop()
-        st.append((seq, value))
+        i = p = len(st)
+        if p and st[-1][0] > ts:  # late: goes after every key <= ts
+            i = p = bisect.bisect_right(st, ts, key=_key)
+            if not keep(value, st[p][1]):
+                return
+        while i and not keep(st[i - 1][1], value):
+            i -= 1
+        st[i:p] = [(ts, value)]
 
     @staticmethod
     def value(st: list) -> Any:
@@ -158,8 +169,11 @@ class Last(_Queue):
     name = "last"
 
     @staticmethod
-    def add(st: list, seq: int, value: Any) -> None:
-        st.append((seq, value))
+    def add(st: list, ts: int, value: Any) -> None:
+        if st and st[-1][0] > ts:
+            st.insert(bisect.bisect_right(st, ts, key=_key), (ts, value))
+        else:
+            st.append((ts, value))
 
     @staticmethod
     def value(st: list) -> Any:
@@ -188,7 +202,7 @@ class CountDistinct:
         return [0, {}]
 
     @staticmethod
-    def add(st: list, seq: int, value: Any) -> None:
+    def add(st: list, ts: int, value: Any) -> None:
         counts = st[1]
         m = counts.get(value, 0)
         counts[value] = m + 1
@@ -196,7 +210,7 @@ class CountDistinct:
             st[0] += 1
 
     @staticmethod
-    def evict(st: list, seq: int, value: Any) -> None:
+    def evict(st: list, ts: int, value: Any) -> None:
         counts = st[1]
         m = counts.get(value, 0) - 1
         if m > 0:

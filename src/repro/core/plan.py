@@ -63,9 +63,9 @@ class AggregatorLeaf:
             st[0], _Multiplicities(self.store, self.aux_cf, key)]
         f, add, evict = self._field_name, self.agg.add, self.agg.evict
         for e in adds:
-            add(full, e["seq"], 1 if f is None else e.get(f))
+            add(full, e["ts"], 1 if f is None else e.get(f))
         for e in evicts:
-            evict(full, e["seq"], 1 if f is None else e.get(f))
+            evict(full, e["ts"], 1 if f is None else e.get(f))
         if full is not st:
             st[0] = full[0]
 
@@ -146,24 +146,15 @@ class WindowNode:
         self.tail = tail  # None for infinite windows (events never expire)
         self.filters: dict[str | None, FilterNode] = {}
 
-    def advance(self, t_eval: int, arrivals: list[Event],
-                late_event: Event | None = None) -> None:
+    def advance(self, t_eval: int, arrivals: list[Event]) -> None:
         """Push precomputed head arrivals + own tail expirations downstream.
 
         ``arrivals`` comes from the (possibly shared) head iterator, which
         the plan advances exactly once per unique head.
         """
-        lo, hi = self.spec.bounds(t_eval)
-        if late_event is not None:
-            # The event was inserted behind this window's head cursor (the
-            # plan checked positions *before* advancing the head); the head
-            # will never yield it, so apply it manually if it is inside the
-            # current window bounds.
-            if lo < late_event["ts"] <= hi:
-                arrivals = arrivals + [late_event]
         evictions: list[Event] = []
         if self.tail is not None:
-            self.tail.advance_until(lo, evictions)
+            self.tail.advance_until(self.spec.bounds(t_eval)[0], evictions)
         if arrivals or evictions:
             for f in self.filters.values():
                 f.apply(arrivals, evictions)
@@ -222,17 +213,16 @@ class TaskPlan:
         """Unique reservoir iterators (the §5.2(b) x-axis)."""
         return len(self._iterators)
 
-    def advance(self, t_eval: int, late_event: Event | None = None,
-                late_pos: tuple[int, int] | None = None) -> None:
+    def advance(self, t_eval: int) -> None:
+        """Bring every window to its bounds at ``t_eval``: each then holds
+        the events its head has yielded minus those its tail has yielded."""
         for gb in self.groupbys:
             gb.written.clear()
         for delay_ms, (head, wnodes) in self._head_groups.items():
-            behind = late_pos is not None and late_pos < head.position()
             arrivals: list[Event] = []
             head.advance_until(t_eval - delay_ms, arrivals)
-            manual = late_event if behind else None
             for wnode in wnodes:
-                wnode.advance(t_eval, arrivals, manual)
+                wnode.advance(t_eval, arrivals)
 
     def answers(self, event: Event) -> dict[str, Any]:
         """Current aggregate values for the arriving event's entities: one

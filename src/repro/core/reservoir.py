@@ -31,7 +31,10 @@ only a tiny, window-count-bound set of chunks in memory:
 - Out-of-order events are accepted while their chunk is open or in
   transition; afterwards they are dropped or timestamp-rewritten to the
   open chunk's first timestamp, per configuration. Events are deduplicated
-  by ``id`` against the in-memory (open + transition) chunks.
+  by ``id`` against the in-memory (open + transition) chunks. No other
+  module knows an event was late: every iterator yields each stored event
+  with ``ts <= bound`` exactly once, one stored behind its cursor ahead of
+  the cursor's own events.
 - A :class:`SchemaRegistry` records event schemas so old chunks can be
   deserialized after schema evolution.
 """
@@ -44,9 +47,11 @@ import time
 import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable
 
 Event = dict  # {'id': ..., 'ts': int epoch-ms, <payload fields>}
+_ts = itemgetter("ts")
 
 CHUNKS_PER_FILE = 64
 # synthetic syscall/page-cache cost of one demand load, µs
@@ -108,7 +113,6 @@ class _PrefetchCache:
         self._d: OrderedDict[int, list[Event]] = OrderedDict()
         self._pending: dict[int, int] = {}  # outstanding reservations
         self.hits = 0
-        self.misses = 0
         self.evictions = 0
 
     def reserve(self, chunk_id: int) -> bool:
@@ -125,11 +129,9 @@ class _PrefetchCache:
     def take(self, chunk_id: int) -> list[Event] | None:
         """Consume one reservation; the chunk is dropped when none remain."""
         ev = self._d.get(chunk_id)
-        if ev is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self.release(chunk_id)
+        if ev is not None:
+            self.hits += 1
+            self.release(chunk_id)
         return ev
 
     def release(self, chunk_id: int) -> None:
@@ -158,7 +160,8 @@ class ReservoirIterator:
 
     Position is ``(chunk_id, idx)``; ``advance_until`` yields every event
     with ``ts <= bound`` not yet yielded, loading chunks as needed.
-    ``_current`` is the chunk at ``chunk_id`` once resolved, in any state.
+    ``_current`` is the chunk at ``chunk_id`` once resolved, in any state;
+    ``_late`` holds the events stored behind the cursor, sorted by ts.
     """
 
     def __init__(self, reservoir: "EventReservoir", chunk_id: int, idx: int):
@@ -167,6 +170,7 @@ class ReservoirIterator:
         self.idx = idx
         self._current: list[Event] | None = None
         self._reserved = False  # holds a cache reservation on chunk_id + 1
+        self._late: list[Event] = []
         reservoir._iterators.append(self)
 
     def close(self) -> None:
@@ -179,9 +183,6 @@ class ReservoirIterator:
             self.r.cache.release(self.chunk_id + 1)
             self._reserved = False
 
-    def position(self) -> tuple[int, int]:
-        return (self.chunk_id, self.idx)
-
     def _enter(self) -> list[Event]:
         r = self.r
         if self.chunk_id == r._open_id:
@@ -193,7 +194,13 @@ class ReservoirIterator:
         return events
 
     def advance_until(self, bound_ts: int, out: list[Event]) -> None:
-        """Append to ``out`` all not-yet-yielded events with ts <= bound."""
+        """Append to ``out`` all not-yet-yielded events with ts <= bound:
+        first those stored behind the cursor, then the cursor's own."""
+        late = self._late
+        if late and late[0]["ts"] <= bound_ts:
+            n = bisect.bisect_right(late, bound_ts, key=_ts)
+            out += late[:n]
+            del late[:n]
         r = self.r
         while True:
             events = self._current
@@ -219,6 +226,7 @@ class ReservoirIterator:
         r = self.r
         self._release()
         self._current = None
+        self._late.clear()
         firsts = [c.first_ts for c in r._index]
         lo = bisect.bisect_right(firsts, bound_ts) - 1
         if lo < 0:
@@ -229,7 +237,7 @@ class ReservoirIterator:
             self.chunk_id, self.idx = lo + 1, 0
             return
         events = r._fetch_sealed(lo)
-        self.idx = bisect.bisect_right([e["ts"] for e in events], bound_ts)
+        self.idx = bisect.bisect_right(events, bound_ts, key=_ts)
         self.chunk_id = lo
         self._current = events
 
@@ -273,6 +281,7 @@ class EventReservoir:
         self._chunks_in_current_file = 0
         self._read_fds: dict[int, int] = {}
         self._last_closed_ts: int | None = None  # max ts at chunk *closure*
+        self.watermark: int | None = None  # highest stored ts
         self.total_events = 0
         self.dropped_late = 0
         self.rewritten_late = 0
@@ -303,21 +312,16 @@ class EventReservoir:
 
     # -- append path --------------------------------------------------------
 
-    def append(self, event: Event) -> tuple[str, int, int]:
-        """Store one event.
-
-        Returns ``(status, chunk_id, pos)`` where status is one of
-        ``"ok"``, ``"late-rewritten"``, ``"dup"``, ``"late-dropped"``;
-        chunk_id/pos are the insertion point (-1, -1 when not stored).
-        Late (out-of-order) events may be inserted *behind* live iterator
-        positions; registered iterators are index-shifted so they neither
-        skip nor double-read (the window operator decides whether to apply
-        the late event manually — see plan.py).
+    def append(self, event: Event) -> str:
+        """Store one event; return ``"ok"``, ``"late-rewritten"``, ``"dup"``
+        or ``"late-dropped"``. An event stored behind an iterator's cursor
+        is handed to that iterator, which yields it once its bound
+        reaches the event's ts.
         """
         eid = event.get("id")
         if eid is not None and eid in self._dedup:
             self.dropped_dups += 1
-            return ("dup", -1, -1)
+            return "dup"
         ts = event["ts"]
         status = "ok"
         self._seal_expired_transitions(ts)
@@ -326,7 +330,7 @@ class EventReservoir:
             if tchunk is None:
                 if self.out_of_order == "drop":
                     self.dropped_late += 1
-                    return ("late-dropped", -1, -1)
+                    return "late-dropped"
                 ts = self._open[0]["ts"] if self._open else self._last_closed_ts + 1
                 event = dict(event, ts=ts)
                 status = "late-rewritten"
@@ -337,25 +341,31 @@ class EventReservoir:
         else:
             target_id, target = self._open_id, self._open
 
-        pos = self._sorted_insert(target_id, target, event)
+        self._sorted_insert(target_id, target, event)
         if eid is not None:
             self._dedup[eid] = target_id
         self.total_events += 1
+        self.watermark = ts if self.watermark is None else max(self.watermark, ts)
         if target_id == self._open_id and len(self._open) >= self.chunk_events:
             self._close_open()
-        return (status, target_id, pos)
+        return status
 
-    def _sorted_insert(self, chunk_id: int, chunk: list[Event], event: Event) -> int:
+    def _sorted_insert(self, chunk_id: int, chunk: list[Event], event: Event) -> None:
+        """Insert in ts order (ties in arrival order) and hand the event to
+        every iterator already past the insert point."""
         ts = event["ts"]
+        pos = len(chunk)
         if not chunk or chunk[-1]["ts"] <= ts:
             chunk.append(event)
-            return len(chunk) - 1
-        pos = bisect.bisect_right([e["ts"] for e in chunk], ts)
-        chunk.insert(pos, event)
+            if chunk_id == self._open_id:
+                return  # no cursor is past the end of the open chunk
+        else:
+            pos = bisect.bisect_right(chunk, ts, key=_ts)
+            chunk.insert(pos, event)
         for it in self._iterators:
-            if it.chunk_id == chunk_id and it.idx > pos:
-                it.idx += 1
-        return pos
+            if (it.chunk_id, it.idx) > (chunk_id, pos):
+                it.idx += it.chunk_id == chunk_id
+                bisect.insort(it._late, event, key=_ts)
 
     def _find_transition(self, ts: int) -> tuple[int, list[Event]] | None:
         # newest transition chunk whose range admits ts
@@ -482,7 +492,6 @@ class EventReservoir:
         self.prefetch_loads = 0
         self.recent_hits = 0
         self.cache.hits = 0
-        self.cache.misses = 0
         self.cache.evictions = 0
 
     def take_costs(self) -> tuple[float, float]:
@@ -537,7 +546,7 @@ class EventReservoir:
         for sid, fields in sorted(meta["schemas"].items()):
             self.registry.register(fields)
         if self._index:
-            self._last_closed_ts = self._index[-1].last_ts
+            self._last_closed_ts = self.watermark = self._index[-1].last_ts
         # reopen the last file for appends if it is not full
         if self._files:
             last_file = len(self._files) - 1

@@ -3,11 +3,12 @@
 A task processor computes *all* metrics of one (topic, partition), shares
 nothing with other task processors, and runs single-threaded. Processing
 one message = append to the event reservoir → advance the plan DAG
-(arrivals + expirations) → answer with the arriving event's aggregates.
+(arrivals + expirations) to the watermark, the highest stored timestamp →
+answer with the arriving event's aggregates.
 
 Checkpointing (§4.1.3) synchronizes the reservoir and the state store:
 ``checkpoint()`` seals in-memory chunks, flushes state, and records the
-last processed sequence/offset so a recovering processor can copy the
+last processed offset so a recovering processor can copy the
 files and replay the delta from the messaging layer.
 """
 from __future__ import annotations
@@ -45,7 +46,6 @@ class TaskProcessor:
         )
         self.store = StateStore(os.path.join(data_dir, "state"))
         self.plan = TaskPlan(self.statements, self.reservoir, self.store)
-        self._seq = 0
         self.last_offset: int | None = None  # messaging-layer offset, if any
 
     # -- event path ----------------------------------------------------------
@@ -53,20 +53,18 @@ class TaskProcessor:
     def process(self, event: Event, offset: int | None = None) -> dict[str, Any]:
         """Process one message, return all metric answers for its entities.
 
-        Duplicates (by event id) and late-dropped events do not change
-        state; Railgun still answers with the current aggregates — it
-        never delays or withholds the reply (§4.1.1).
+        Every window is anchored at the watermark W: it holds the stored
+        events inside its bounds at W, a late event included. Duplicates
+        (by event id) and late-dropped events do not change state; Railgun
+        still answers with the current aggregates — it never delays or
+        withholds the reply (§4.1.1).
         """
-        e = dict(event)
-        e["seq"] = self._seq
-        status, cid, pos = self.reservoir.append(e)
+        status = self.reservoir.append(dict(event))
         if offset is not None:
             self.last_offset = offset
-        if status in ("dup", "late-dropped"):
-            return self.plan.answers(e)
-        self._seq += 1
-        self.plan.advance(e["ts"], late_event=e, late_pos=(cid, pos))
-        return self.plan.answers(e)
+        if status not in ("dup", "late-dropped"):
+            self.plan.advance(self.reservoir.watermark)
+        return self.plan.answers(event)
 
     def prefill(self, events: Iterable[Event]) -> int:
         """Bulk-append history without advancing the plan (checkpoint load).
@@ -75,15 +73,8 @@ class TaskProcessor:
         head *and* tail iterators are live from the first processed event.
         Follow with :meth:`warm_up`.
         """
-        n = 0
-        for event in events:
-            e = dict(event)
-            e["seq"] = self._seq
-            status, _, _ = self.reservoir.append(e)
-            if status not in ("dup", "late-dropped"):
-                self._seq += 1
-                n += 1
-        return n
+        return sum(self.reservoir.append(dict(e)) not in ("dup", "late-dropped")
+                   for e in events)
 
     def warm_up(self, now_ts: int) -> None:
         """Advance the plan over prefilled history in one batched pass."""
@@ -139,7 +130,6 @@ class TaskProcessor:
             "memory_events": r.memory_events(),
             "iterators": self.plan.iterator_count,
             "cache_hits": r.cache.hits,
-            "cache_misses": r.cache.misses,
             "demand_loads": r.demand_loads,
             "prefetch_loads": r.prefetch_loads,
             "state_keys": len(self.store),
@@ -155,7 +145,6 @@ class TaskProcessor:
             "task_id": self.task_id,
             "reservoir": meta,
             "state_path": state_path,
-            "seq": self._seq,
             "last_offset": self.last_offset,
         }
 
@@ -181,13 +170,11 @@ class TaskProcessor:
         tp.reservoir.load(ckpt["reservoir"])
         state_copy = shutil.copy(ckpt["state_path"], tp.store.dir)
         tp.store.load(state_copy)
-        tp._seq = ckpt["seq"]
         tp.last_offset = ckpt["last_offset"]
-        index = ckpt["reservoir"]["index"]
-        if index:
+        if tp.reservoir.watermark is not None:
             # the checkpoint sealed every chunk, and the copied state holds
-            # every event up to the last one sealed
-            tp._position_iterators(index[-1].last_ts)
+            # the windows at the watermark
+            tp._position_iterators(tp.reservoir.watermark)
         return tp
 
     def _position_iterators(self, now_ts: int) -> None:

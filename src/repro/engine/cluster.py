@@ -53,15 +53,12 @@ class RailgunCluster:
     def _add_node(self, node_id: str) -> None:
         self.nodes.append(node_id)
         self.frontends[node_id] = FrontEnd(node_id, self.kafka)
-        for u in range(self._units_per_node()):
+        for u in range(self._upn):
             uid = f"{node_id}-u{u}"
             self.units[uid] = ProcessorUnit(
                 uid, node_id, self.kafka, os.path.join(self.data_root, "units"),
                 reservoir_kwargs=self.reservoir_kwargs,
             )
-
-    def _units_per_node(self) -> int:
-        return self._upn
 
     def add_node(self, node_id: str) -> None:
         """Scale out: new node joins and a rebalance redistributes tasks."""

@@ -4,7 +4,8 @@ The **front-end** receives a client event, publishes one message per
 stream *partitioner* (top-level group-by) to that partitioner's topic
 (steps 1–2 of Fig 3), then collects the per-topic aggregation replies
 from its dedicated reply topic and answers the client with the merged
-result (steps 5–6).
+result (steps 5–6). It takes one reply per (event, topic), so the
+replies of a task replaying its log after a failure are dropped.
 
 A **processor unit** runs Algorithm 1: it polls its *active* tasks first,
 then its *replica* tasks, forwards messages to the owning task processor,
@@ -32,13 +33,13 @@ class FrontEnd:
         self.reply_topic = f"replies.{node_id}"
         kafka.create_topic(self.reply_topic, 1)
         self._reply_offset = 0
-        self._partial: dict[Any, dict] = {}  # event id -> merged answers
-        self._expected: dict[Any, int] = {}
+        # event id -> (topics still to answer, answers merged so far)
+        self._waiting: dict[Any, tuple[set[str], dict]] = {}
         self.completed: dict[Any, dict] = {}
 
     def send(self, stream: str, partitioners: list[str], event: dict) -> None:
         """Steps 1–2 of Fig 3: route the event to every partitioner topic."""
-        self._expected[event["id"]] = len(partitioners)
+        self._waiting[event["id"]] = ({f"{stream}.{p}" for p in partitioners}, {})
         for part_field in partitioners:
             topic = f"{stream}.{part_field}"
             msg = dict(event, _reply_to=self.reply_topic)
@@ -48,13 +49,14 @@ class FrontEnd:
         """Steps 5–6: collect per-topic answers; merge when all arrived."""
         for rec in self.kafka.fetch(self.reply_topic, 0, self._reply_offset, 10_000):
             self._reply_offset += 1
-            eid = rec.value["event_id"]
-            merged = self._partial.setdefault(eid, {})
+            eid, topic = rec.value["event_id"], rec.value["topic"]
+            missing, merged = self._waiting.get(eid, ((), None))
+            if topic not in missing:
+                continue  # a replay: the event is done or this topic answered
+            missing.remove(topic)
             merged.update(rec.value["answers"])
-            self._expected[eid] = self._expected.get(eid, 1) - 1
-            if self._expected[eid] <= 0:
-                self.completed[eid] = self._partial.pop(eid)
-                del self._expected[eid]
+            if not missing:
+                self.completed[eid] = self._waiting.pop(eid)[1]
 
 
 class ProcessorUnit:
@@ -138,7 +140,8 @@ class ProcessorUnit:
                     self.kafka.produce(
                         rec.value["_reply_to"],
                         key=rec.value["id"],
-                        value={"event_id": rec.value["id"], "answers": answers},
+                        value={"event_id": rec.value["id"], "topic": topic,
+                               "answers": answers},
                     )
         return n
 

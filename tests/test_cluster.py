@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from repro.engine import RailgunCluster
+from repro.engine.node import FrontEnd
 from repro.core.windows import MINUTE
+from repro.kafka import MiniKafka
 
 Q1 = ("SELECT sum(amount), count(amount) FROM payments "
       "GROUP BY card_id OVER sliding 1 minute")
@@ -195,3 +197,42 @@ def test_duplicate_delivery_is_idempotent(cluster):
     a1 = cluster.send("payments", e)
     a2 = cluster.send("payments", dict(e))  # same event id re-sent
     assert a1 == a2  # dedup in the reservoir: aggregates unchanged
+
+
+def test_front_end_keeps_no_stale_replies_after_a_replay(tmp_path):
+    """Replication 1: the dead node's tasks replay their partitions and
+    answer every old event again; the front end drops those replies."""
+    c = RailgunCluster(str(tmp_path), n_nodes=3, units_per_node=1, replication=1,
+                       reservoir_kwargs={"chunk_events": 16, "cache_chunks": 16})
+    c.register_stream("payments", [Q1, Q2], partitions=4)
+    events = _events(n=160, seed=10)
+    for i, e in enumerate(events):
+        if i == 80:
+            c.kill_node("node2")
+        _check(events, i, c.send("payments", e))
+    while c.step():
+        pass
+    fe = c.frontends["node0"]
+    fe.poll_replies()
+    assert fe._reply_offset > 2 * len(events)  # replayed replies did arrive
+    assert fe.completed == {} and fe._waiting == {}
+
+
+def test_front_end_counts_each_topic_once():
+    kafka = MiniKafka()
+    kafka.create_topic("s.a", 1)
+    kafka.create_topic("s.b", 1)
+    fe = FrontEnd("n0", kafka)
+    fe.send("s", ["a", "b"], {"id": "x", "ts": 1, "a": 1, "b": 2})
+
+    def reply(topic, answers):
+        kafka.produce(fe.reply_topic, key="x",
+                      value={"event_id": "x", "topic": topic, "answers": answers})
+
+    reply("s.a", {"m1": 1})
+    reply("s.a", {"m1": 1})  # the same task again, after a replay
+    fe.poll_replies()
+    assert fe.completed == {}
+    reply("s.b", {"m2": 2})
+    fe.poll_replies()
+    assert fe.completed == {"x": {"m1": 1, "m2": 2}}

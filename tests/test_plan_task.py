@@ -221,6 +221,34 @@ def test_out_of_order_within_open_chunk_counted(tmp_path):
     assert ans[name] == 4
 
 
+DELAYED = "sliding 4 seconds delayed by 3 seconds"
+
+
+def _at(*ts):
+    return [(t, t / 1000) for t in ts]
+
+
+@pytest.mark.parametrize("agg, window, stream, expect", [
+    # a late event the tail has already passed is added and evicted at once
+    ("count", "sliding 4 seconds", _at(1000, 2000, 9000, 1500, 100_000), [1, 2, 1, 1, 1]),
+    ("count", DELAYED, _at(1000, 5000, 9000, 4000, 100_000), [0, 1, 1, 2, 0]),
+    ("stdDev", DELAYED, _at(1000, 5000, 9000, 4000, 100_000, 104_000),
+     [None, None, None, np.std([5.0, 4.0], ddof=1), None, None]),
+    # a late maximum expires when its own ts leaves the window
+    ("max", "sliding 4 seconds", [(1000, 1.0), (3000, 2.0), (1500, 9.0), (5200, 0.0),
+                                  (5600, 0.0)], [1.0, 2.0, 9.0, 9.0, 2.0]),
+], ids=["behind-the-tail", "delayed", "delayed-stdDev", "late-max"])
+def test_late_events_answer_at_the_watermark(tmp_path, agg, window, stream, expect):
+    """Windows are anchored at the highest stored ts: each answer is the
+    window at that watermark, the late event counted only inside it."""
+    tp = make_tp(tmp_path, [f"SELECT {agg}(amount) FROM payments "
+                            f"GROUP BY card_id OVER {window}"])
+    name = tp.plan.leaves[0].metric.name
+    for (ts, v), want in zip(stream, expect):
+        got = tp.process({"id": ts, "ts": ts, "card_id": 1, "merchant_id": 1, "amount": v})
+        _assert_answer(got[name], want, (ts, agg))
+
+
 def test_prefill_and_warm_up_give_live_tail(tmp_path):
     """§5.2(a) methodology: checkpoint-load history, then measure steady state."""
     tp = make_tp(

@@ -25,15 +25,34 @@ def event_stream(draw, max_n=120):
     ]
 
 
+@st.composite
+def arrivals(draw, max_n=80):
+    """A stream in arrival order. Timestamps may be coarse (whole 2 s
+    steps, so many tie), and with a late fraction some events arrive up
+    to 6 s behind the stream; in-order input is one of the drawn cases."""
+    events = draw(event_stream(max_n))
+    unit = draw(st.sampled_from((1, 2000)))
+    late = draw(st.sampled_from((0, 1, 3)))  # one event in late + 1 is late
+    for e in events:
+        e["ts"] -= e["ts"] % unit
+        if late and draw(st.integers(0, late)) == 0:
+            e["ts"] = max(0, e["ts"] - draw(st.integers(1, 6_000)))
+    return events
+
+
+POLICIES = st.sampled_from(({"out_of_order": "drop"}, {"out_of_order": "rewrite"},
+                            {"out_of_order": "drop", "lateness_ms": 3_000},
+                            {"out_of_order": "rewrite", "lateness_ms": 1_000}))
+
+
 @settings(max_examples=40, deadline=None)
 @given(events=event_stream(), chunk=st.integers(2, 32))
 def test_reservoir_roundtrip_any_stream(tmp_path_factory, events, chunk):
     r = EventReservoir(
         str(tmp_path_factory.mktemp("res")), chunk_events=chunk, cache_chunks=8
     )
-    for i, e in enumerate(events):
-        e = dict(e, seq=i)
-        assert r.append(e)[0] == "ok"
+    for e in events:
+        assert r.append(dict(e)) == "ok"
     out = []
     r.iterator().advance_until(1 << 60, out)
     assert [e["id"] for e in out] == [e["id"] for e in events]
@@ -46,8 +65,8 @@ def test_reservoir_iterator_bound_is_exact(tmp_path_factory, events, chunk, boun
     r = EventReservoir(
         str(tmp_path_factory.mktemp("res")), chunk_events=chunk, cache_chunks=8
     )
-    for i, e in enumerate(events):
-        r.append(dict(e, seq=i))
+    for e in events:
+        r.append(dict(e))
     bound = events[min(bound_idx, len(events) - 1)]["ts"]
     out = []
     r.iterator().advance_until(bound, out)
@@ -84,7 +103,7 @@ def test_iterators_read_exactly_without_demand_loads(
     iters = [r.iterator() for _ in range(n_iters)]
     seen = [[] for _ in iters]
     for i, e in enumerate(events):
-        r.append(dict(e, seq=i))
+        r.append(dict(e))
         for j in data.draw(st.lists(st.integers(0, n_iters - 1), max_size=n_iters)):
             bound = data.draw(st.integers(0, e["ts"] + 5_000))
             before = len(seen[j])
@@ -124,12 +143,10 @@ def test_task_processor_count_matches_bruteforce(tmp_path_factory, events, windo
 
 
 @settings(max_examples=25, deadline=None)
-@given(
-    events=event_stream(max_n=80),
-    checkpoint_at=st.integers(5, 60),
-)
-def test_checkpoint_recovery_transparent(tmp_path_factory, events, checkpoint_at):
-    """Recovery at any point yields a processor that answers identically."""
+@given(events=arrivals(), policy=POLICIES, checkpoint_at=st.integers(5, 60))
+def test_checkpoint_recovery_transparent(tmp_path_factory, events, policy, checkpoint_at):
+    """Recovery at any point, out-of-order input included, yields a
+    processor that answers identically."""
     select = ("count(amount), max(amount), min(amount), stdDev(amount), "
               "countDistinct(amount)")
     sqls = [
@@ -137,7 +154,7 @@ def test_checkpoint_recovery_transparent(tmp_path_factory, events, checkpoint_at
         f"SELECT {select} FROM s GROUP BY card_id "
         "OVER sliding 10 seconds delayed by 5 seconds",
     ]
-    kw = {"chunk_events": 8, "cache_chunks": 8}
+    kw = {"chunk_events": 8, "cache_chunks": 8, **policy}
     tp = TaskProcessor(
         "a", sqls, str(tmp_path_factory.mktemp("a")), reservoir_kwargs=kw
     )
@@ -160,19 +177,26 @@ def window_text(draw):
     return text + (f" delayed by {delay} ms" if delay else "")
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    events=event_stream(max_n=80),
+    events=arrivals(),
+    policy=POLICIES,
+    chunk=st.integers(2, 8),
     windows=st.lists(window_text(), min_size=1, max_size=4),
     aggs=st.lists(st.sampled_from(sorted(AGGREGATORS)), min_size=1, max_size=9,
                   unique=True),
     group_by=st.sampled_from((("card_id",), ("card_id", "merchant"))),
 )
-def test_random_in_order_plans_match_brute_force(
-    tmp_path_factory, events, windows, aggs, group_by
+def test_random_plans_match_brute_force(
+    tmp_path_factory, events, policy, chunk, windows, aggs, group_by
 ):
-    """Every per-event answer of a random in-order plan equals the
-    aggregation of the events inside ``spec.bounds(t)`` for its entity."""
+    """Every per-event answer of a random plan equals the aggregation of
+    its entity's events as stored (rewrite changes their ts) inside
+    ``spec.bounds(W)``, W the highest stored ts, in (ts, arrival) order.
+    After a quiet gap longer than every window + delay, a finite window
+    holds nothing but the arriving event, and a delayed one nothing."""
+    gap = dict(events[-1], id=len(events), ts=max(e["ts"] for e in events) + 60_000)
+    events = [*events, gap]
     for e in events:
         e["merchant"] = e["id"] % 3
     select = ", ".join(f"{a}(amount)" for a in aggs)
@@ -181,17 +205,34 @@ def test_random_in_order_plans_match_brute_force(
         [f"SELECT {select} FROM s GROUP BY {', '.join(group_by)} OVER {w}"
          for w in windows],
         str(tmp_path_factory.mktemp("tp")),
-        reservoir_kwargs={"chunk_events": 8, "cache_chunks": 8},
+        reservoir_kwargs={"chunk_events": chunk, "cache_chunks": 8, **policy},
     )
+    answers = [tp.process(e) for e in events]
+    stored = []
+    tp.reservoir.iterator().advance_until(1 << 60, stored)
+    stored_ts = {x["id"]: x["ts"] for x in stored}
+    assert len(stored_ts) == len(stored) == tp.reservoir.total_events
     for i, e in enumerate(events):
-        ans = tp.process(e)
+        seen = sorted((stored_ts[x["id"]], j, x) for j, x in enumerate(events[: i + 1])
+                      if x["id"] in stored_ts)
+        w = seen[-1][0]
         for leaf in tp.plan.leaves:
             m = leaf.metric
-            lo, hi = m.window.bounds(e["ts"])
-            vals = [x["amount"] for x in events[: i + 1]
-                    if lo < x["ts"] <= hi and all(x[g] == e[g] for g in group_by)]
+            lo, hi = m.window.bounds(w)
+            vals = [x["amount"] for ts, _, x in seen
+                    if lo < ts <= hi and all(x[g] == e[g] for g in group_by)]
             expect = _reference(m.agg, vals)
             if expect is None:
-                assert ans[m.name] is None, (i, m.name)
+                assert answers[i][m.name] is None, (i, m.name)
             else:
-                assert ans[m.name] == pytest.approx(expect, rel=1e-9, abs=1e-6), (i, m.name)
+                assert answers[i][m.name] == pytest.approx(expect, rel=1e-9, abs=1e-6), (
+                    i, m.name)
+    for wnode in tp.plan.windows.values():
+        if wnode.spec.kind == "infinite":
+            continue
+        for gb in (gb for f in wnode.filters.values() for gb in f.group_bys.values()):
+            left = set() if wnode.spec.delay_ms else {gb.key(gap)}
+            assert set(tp.store.keys(gb.cf)) <= left
+            for leaf in gb.leaves:
+                if leaf.aux_cf:
+                    assert {k for k, _ in tp.store.keys(leaf.aux_cf)} <= left

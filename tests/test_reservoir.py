@@ -13,15 +13,13 @@ def _ev(i, ts=None, **extra):
 def make(tmp_path, **kw):
     kw.setdefault("chunk_events", 8)
     kw.setdefault("cache_chunks", 16)
-    kw.setdefault("schema", ("id", "ts", "v", "seq"))
+    kw.setdefault("schema", ("id", "ts", "v"))
     return EventReservoir(str(tmp_path / "res"), **kw)
 
 
 def _fill(r, n, start=0):
     for i in range(start, start + n):
-        e = _ev(i)
-        e["seq"] = i
-        assert r.append(e)[0] == "ok"
+        assert r.append(_ev(i)) == "ok"
 
 
 # -- chunking / persistence ---------------------------------------------------
@@ -72,7 +70,6 @@ def test_iterator_interleaved_with_appends(tmp_path):
     seen = []
     for i in range(40):
         e = _ev(i)
-        e["seq"] = i
         r.append(e)
         it.advance_until(e["ts"], seen)
     assert [e["id"] for e in seen] == list(range(40))
@@ -123,9 +120,8 @@ def test_compression_on_disk(tmp_path):
 def test_duplicate_ids_dropped_against_in_memory_chunks(tmp_path):
     r = make(tmp_path)
     e = _ev(1)
-    e["seq"] = 0
-    assert r.append(e)[0] == "ok"
-    assert r.append(dict(e))[0] == "dup"
+    assert r.append(e) == "ok"
+    assert r.append(dict(e)) == "dup"
     assert r.total_events == 1
     assert r.dropped_dups == 1
 
@@ -133,18 +129,16 @@ def test_duplicate_ids_dropped_against_in_memory_chunks(tmp_path):
 def test_late_event_dropped_by_policy(tmp_path):
     r = make(tmp_path, out_of_order="drop")
     _fill(r, 16)  # seals chunk 0 (ts 0..70), chunk 1 open (ts 80..150)
-    late = {"id": "late", "ts": 5, "v": 99.0, "seq": 99}
-    status, cid, pos = r.append(late)
-    assert status == "late-dropped"
+    late = {"id": "late", "ts": 5, "v": 99.0}
+    assert r.append(late) == "late-dropped"
     assert r.dropped_late == 1
 
 
 def test_late_event_rewritten_by_policy(tmp_path):
     r = make(tmp_path, out_of_order="rewrite")
     _fill(r, 12)  # chunk 0 sealed (ts 0..70); open chunk holds ts 80..110
-    late = {"id": "late", "ts": 5, "v": 99.0, "seq": 99}
-    status, cid, pos = r.append(late)
-    assert status == "late-rewritten"
+    late = {"id": "late", "ts": 5, "v": 99.0}
+    assert r.append(late) == "late-rewritten"
     assert r.rewritten_late == 1
     it = r.iterator()
     out = []
@@ -156,9 +150,8 @@ def test_late_event_rewritten_by_policy(tmp_path):
 def test_out_of_order_within_open_chunk_sorted_insert(tmp_path):
     r = make(tmp_path, chunk_events=64)
     for i, ts in enumerate([100, 200, 300]):
-        r.append({"id": i, "ts": ts, "v": 0.0, "seq": i})
-    status, cid, pos = r.append({"id": 9, "ts": 150, "v": 0.0, "seq": 3})
-    assert status == "ok" and pos == 1
+        r.append({"id": i, "ts": ts, "v": 0.0})
+    assert r.append({"id": 9, "ts": 150, "v": 0.0}) == "ok"
     out = []
     r.iterator().advance_until(10**9, out)
     assert [e["ts"] for e in out] == [100, 150, 200, 300]
@@ -169,23 +162,49 @@ def test_out_of_order_insert_shifts_live_iterators(tmp_path):
     it = r.iterator()
     out = []
     for i, ts in enumerate([100, 200, 300]):
-        r.append({"id": i, "ts": ts, "v": 0.0, "seq": i})
+        r.append({"id": i, "ts": ts, "v": 0.0})
         it.advance_until(ts, out)
     assert len(out) == 3
-    r.append({"id": 9, "ts": 150, "v": 0.0, "seq": 3})
-    # the iterator's position was shifted; it must not re-yield 200/300
+    r.append({"id": 9, "ts": 150, "v": 0.0})
+    # stored behind the cursor: yielded once, and 200/300 never again
     more = []
+    it.advance_until(300, more)
+    assert [e["ts"] for e in more] == [150]
     it.advance_until(10**9, more)
-    assert more == []
+    assert [e["ts"] for e in more] == [150]
+
+
+def test_late_append_behind_a_cursor_in_the_next_chunk(tmp_path):
+    """An event appended to the end of transition chunk 0 is behind
+    cursors parked at the start of chunk 1; each yields it once its bound
+    reaches the event's ts, not earlier."""
+    r = make(tmp_path, chunk_events=2, lateness_ms=3000)
+    a, b = r.iterator(), r.iterator()
+    seen_a, seen_b = [], []
+    for i, ts in enumerate([2202, 1627, 4539, 3967]):
+        r.append({"id": i, "ts": ts, "v": 0.0})
+    a.advance_until(3500, seen_a)
+    b.advance_until(3000, seen_b)
+    assert (a.chunk_id, a.idx) == (b.chunk_id, b.idx) == (1, 0)
+    assert r.append({"id": "late", "ts": 3018, "v": 0.0}) == "ok"
+    assert r.sealed_chunks() == 0  # chunk 0 is in transition
+    a.advance_until(3500, seen_a)
+    b.advance_until(3000, seen_b)
+    assert [e["ts"] for e in seen_a] == [1627, 2202, 3018]
+    assert [e["ts"] for e in seen_b] == [1627, 2202]
+    b.advance_until(3018, seen_b)
+    assert [e["ts"] for e in seen_b] == [1627, 2202, 3018]
+    for it, seen in ((a, seen_a), (b, seen_b)):
+        it.advance_until(10**9, seen)
+        assert [e["ts"] for e in seen] == [1627, 2202, 3018, 3967, 4539]
 
 
 def test_lateness_transition_chunks_accept_late_events(tmp_path):
     r = make(tmp_path, lateness_ms=1000, chunk_events=4)
     for i in range(8):  # two chunks; first closes at ts 30 → transition
-        r.append({"id": i, "ts": i * 10, "v": 0.0, "seq": i})
+        r.append({"id": i, "ts": i * 10, "v": 0.0})
     assert r.sealed_chunks() == 0  # chunk 0 is in transition, not sealed
-    status, cid, pos = r.append({"id": "late", "ts": 15, "v": 1.0, "seq": 8})
-    assert status == "ok"
+    assert r.append({"id": "late", "ts": 15, "v": 1.0}) == "ok"
     out = []
     r.iterator().advance_until(10**9, out)
     assert [e["ts"] for e in out] == [0, 10, 15, 20, 30, 40, 50, 60, 70]
@@ -194,9 +213,9 @@ def test_lateness_transition_chunks_accept_late_events(tmp_path):
 def test_transition_chunks_seal_after_lateness_expires(tmp_path):
     r = make(tmp_path, lateness_ms=100, chunk_events=4)
     for i in range(8):
-        r.append({"id": i, "ts": i * 10, "v": 0.0, "seq": i})
+        r.append({"id": i, "ts": i * 10, "v": 0.0})
     assert r.sealed_chunks() == 0
-    r.append({"id": 99, "ts": 500, "v": 0.0, "seq": 8})  # advances event time
+    r.append({"id": 99, "ts": 500, "v": 0.0})  # advances event time
     assert r.sealed_chunks() >= 1  # chunk 0 (close_ts 30) sealed: 30+100 < 500
 
 
@@ -229,7 +248,7 @@ def test_cache_thrash_when_more_iterators_than_slots(tmp_path):
             it.seek_after(j * stride * 80 - 5)
             iters.append(it)
         r.demand_loads = 0
-        r.cache.hits = r.cache.misses = 0
+        r.cache.hits = 0
         steps = n_chunks - stride * n_iters
         for step in range(1, steps):
             for j, it in enumerate(iters):
@@ -302,13 +321,13 @@ def test_seek_releases_the_chunk_staged_for_the_old_position(tmp_path):
 
 def test_schema_evolution_roundtrip(tmp_path):
     r = EventReservoir(
-        str(tmp_path / "res"), chunk_events=4, schema=("id", "ts", "v", "seq")
+        str(tmp_path / "res"), chunk_events=4, schema=("id", "ts", "v")
     )
     for i in range(4):
-        r.append({"id": i, "ts": i * 10, "v": float(i), "seq": i})
-    r.registry.register(("id", "ts", "v", "w", "seq"))  # schema evolves
+        r.append({"id": i, "ts": i * 10, "v": float(i)})
+    r.registry.register(("id", "ts", "v", "w"))  # schema evolves
     for i in range(4, 8):
-        r.append({"id": i, "ts": i * 10, "v": float(i), "w": i * 2.0, "seq": i})
+        r.append({"id": i, "ts": i * 10, "v": float(i), "w": i * 2.0})
     out = []
     r.iterator().advance_until(10**9, out)
     assert "w" not in out[0] or out[0]["w"] is None  # old schema chunk
@@ -324,14 +343,14 @@ def test_checkpoint_restore_roundtrip(tmp_path):
     meta = r.checkpoint()
     assert r.sealed_chunks() == 4  # 30 events / 8 per chunk, flushed
     r2 = EventReservoir(
-        str(tmp_path / "res"), chunk_events=8, schema=("id", "ts", "v", "seq")
+        str(tmp_path / "res"), chunk_events=8, schema=("id", "ts", "v")
     )
     r2.load(meta)
     out = []
     r2.iterator().advance_until(10**9, out)
     assert [e["id"] for e in out] == list(range(30))
     # restored reservoir accepts further appends
-    r2.append({"id": 30, "ts": 300, "v": 30.0, "seq": 30})
+    r2.append({"id": 30, "ts": 300, "v": 30.0})
     assert r2.total_events == 31
 
 

@@ -64,7 +64,7 @@ def test_micro_reservoir_append(benchmark):
     def append_100():
         for _ in range(100):
             i = next(counter)
-            r.append({"id": i, "ts": i * 2, "amount": 1.0, "seq": i})
+            r.append({"id": i, "ts": i * 2, "amount": 1.0})
 
     benchmark.pedantic(append_100, rounds=30, iterations=1, warmup_rounds=2)
 
@@ -72,7 +72,7 @@ def test_micro_reservoir_append(benchmark):
 def test_micro_reservoir_sequential_scan(benchmark):
     r = EventReservoir(tempfile.mkdtemp(), chunk_events=512, cache_chunks=64)
     for i in range(512 * 40):
-        r.append({"id": i, "ts": i * 2, "amount": 1.0, "seq": i})
+        r.append({"id": i, "ts": i * 2, "amount": 1.0})
 
     def scan():
         it = r.iterator()
@@ -88,5 +88,5 @@ def test_micro_chunk_demand_load(benchmark):
     """The §5.2(b) cache-miss penalty: read + decompress one chunk."""
     r = EventReservoir(tempfile.mkdtemp(), chunk_events=256, cache_chunks=4)
     for i in range(256 * 10):
-        r.append({"id": i, "ts": i * 2, "amount": 1.0, "seq": i})
+        r.append({"id": i, "ts": i * 2, "amount": 1.0})
     benchmark(lambda: r._load_sealed(3))

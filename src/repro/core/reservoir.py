@@ -8,11 +8,14 @@ only a tiny, window-count-bound set of chunks in memory:
   is *closed*: optionally parked in a **transition** state for
   ``lateness_ms`` of event time (closed for recent events, still open for
   late ones — the paper's watermark-like knob), then *sealed*: serialized
-  column-wise with its schema id, zlib-compressed, and appended to an
-  ordered, append-only file. Files seal after ``CHUNKS_PER_FILE`` chunks
-  and become immutable.
-- An in-memory index of ``(first_ts, file, offset)`` per sealed chunk
-  supports random reads (needed when a new window/metric is added).
+  column-wise as one ``{field: column}`` dict over the sorted union of its
+  events' keys, zlib-compressed, and appended to the reservoir's one
+  append-only file. A chunk describes itself, so it decodes after the
+  event schema changes with no state outside it; a field an event lacked
+  reads back as ``None`` when another event of its chunk has it.
+- An in-memory index of ``(first_ts, last_ts, offset, length)`` per sealed
+  chunk, in chunk order, supports random reads (needed when a new
+  window/metric is added).
 - **Iterators** read the reservoir in timestamp order. Each iterator holds
   the chunk it is in, whether open, in transition or sealed: the open
   list is the same object that later becomes the sealed chunk, so an
@@ -35,8 +38,6 @@ only a tiny, window-count-bound set of chunks in memory:
   module knows an event was late: every iterator yields each stored event
   with ``ts <= bound`` exactly once, one stored behind its cursor ahead of
   the cursor's own events.
-- A :class:`SchemaRegistry` records event schemas so old chunks can be
-  deserialized after schema evolution.
 """
 from __future__ import annotations
 
@@ -48,12 +49,11 @@ import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Iterable
+from typing import Any
 
 Event = dict  # {'id': ..., 'ts': int epoch-ms, <payload fields>}
 _ts = itemgetter("ts")
 
-CHUNKS_PER_FILE = 64
 # synthetic syscall/page-cache cost of one demand load, µs
 IO_READ_COST_US = 25.0
 # §5.2(b) worst case: when prefetch is defeated, some demand loads miss
@@ -62,39 +62,12 @@ IO_READ_COST_US = 25.0
 IO_SEEK_EVERY = 3
 
 
-class SchemaRegistry:
-    """Maps schema ids to field tuples; chunks reference their schema id."""
-
-    def __init__(self) -> None:
-        self._schemas: dict[int, tuple[str, ...]] = {}
-        self._ids: dict[tuple[str, ...], int] = {}
-        self.current_id: int | None = None
-
-    def register(self, fields: Iterable[str]) -> int:
-        key = tuple(fields)
-        sid = self._ids.get(key)
-        if sid is None:
-            sid = len(self._schemas)
-            self._schemas[sid] = key
-            self._ids[key] = sid
-        self.current_id = sid
-        return sid
-
-    def get(self, sid: int) -> tuple[str, ...]:
-        return self._schemas[sid]
-
-    def __len__(self) -> int:
-        return len(self._schemas)
-
-
 @dataclass
 class ChunkRef:
-    """Index entry for one sealed chunk."""
+    """Index entry for one sealed chunk; its position in the index is its id."""
 
-    chunk_id: int
     first_ts: int
     last_ts: int
-    file_idx: int
     offset: int
     length: int
 
@@ -254,19 +227,15 @@ class EventReservoir:
         out_of_order: str = "drop",  # or "rewrite"
         lateness_ms: int = 0,
         io_seek_cost_us: float = 0.0,
-        schema: Iterable[str] | None = None,
     ) -> None:
         if out_of_order not in ("drop", "rewrite"):
             raise ValueError("out_of_order must be 'drop' or 'rewrite'")
         os.makedirs(data_dir, exist_ok=True)
-        self.dir = data_dir
+        self.path = os.path.join(data_dir, "reservoir.bin")
         self.chunk_events = chunk_events
         self.out_of_order = out_of_order
         self.lateness_ms = lateness_ms
         self.io_seek_cost_us = io_seek_cost_us
-        self.registry = SchemaRegistry()
-        if schema is not None:
-            self.registry.register(schema)
         self.cache = _PrefetchCache(cache_chunks)
         self.recent_hits = 0  # iterators that kept their chunk across its seal
 
@@ -274,12 +243,9 @@ class EventReservoir:
         self._transition: list[tuple[int, list[Event], int]] = []  # (cid, evs, close_ts)
         self._open: list[Event] = []
         self._open_id = 0
-        self._dedup: dict[Any, int] = {}  # event id -> chunk id (in-memory chunks)
+        self._dedup: set[Any] = set()  # ids of the events in memory (open + transition)
         self._iterators: list[ReservoirIterator] = []
-        self._files: list[str] = []
-        self._write_fh = None
-        self._chunks_in_current_file = 0
-        self._read_fds: dict[int, int] = {}
+        self._fh = None  # the file, opened on first use for appends and preads
         self._last_closed_ts: int | None = None  # max ts at chunk *closure*
         self.watermark: int | None = None  # highest stored ts
         self.total_events = 0
@@ -294,21 +260,10 @@ class EventReservoir:
         # synthetic syscall/page-cache cost for paid (demand) loads, µs.
         self.synthetic_us = 0.0
 
-    # -- file plumbing ------------------------------------------------------
-
-    def _file_path(self, idx: int) -> str:
-        return os.path.join(self.dir, f"reservoir-{idx:06d}.bin")
-
-    def _current_file(self) -> tuple[int, Any]:
-        if self._write_fh is None or self._chunks_in_current_file >= CHUNKS_PER_FILE:
-            if self._write_fh is not None:
-                self._write_fh.close()
-            idx = len(self._files)
-            path = self._file_path(idx)
-            self._files.append(path)
-            self._write_fh = open(path, "ab")
-            self._chunks_in_current_file = 0
-        return len(self._files) - 1, self._write_fh
+    def _file(self):
+        if self._fh is None:
+            self._fh = open(self.path, "a+b")
+        return self._fh
 
     # -- append path --------------------------------------------------------
 
@@ -343,7 +298,7 @@ class EventReservoir:
 
         self._sorted_insert(target_id, target, event)
         if eid is not None:
-            self._dedup[eid] = target_id
+            self._dedup.add(eid)
         self.total_events += 1
         self.watermark = ts if self.watermark is None else max(self.watermark, ts)
         if target_id == self._open_id and len(self._open) >= self.chunk_events:
@@ -394,27 +349,14 @@ class EventReservoir:
 
     def _seal(self, chunk_id: int, events: list[Event]) -> None:
         assert chunk_id == len(self._index), "chunks seal in order"
-        sid = self.registry.current_id
-        if sid is None:
-            sid = self.registry.register(sorted(set().union(*(e.keys() for e in events))))
-        fields = self.registry.get(sid)
-        cols = tuple([e.get(f) for e in events] for f in fields)
-        blob = zlib.compress(pickle.dumps((sid, cols), protocol=pickle.HIGHEST_PROTOCOL), 6)
-        file_idx, fh = self._current_file()
-        offset = fh.tell()
+        fields = sorted(set().union(*(e.keys() for e in events)))
+        cols = {f: [e.get(f) for e in events] for f in fields}
+        blob = zlib.compress(pickle.dumps(cols, protocol=pickle.HIGHEST_PROTOCOL), 6)
+        fh = self._file()
+        offset = fh.seek(0, os.SEEK_END)
         fh.write(blob)
         fh.flush()
-        self._chunks_in_current_file += 1
-        self._index.append(
-            ChunkRef(
-                chunk_id=chunk_id,
-                first_ts=events[0]["ts"],
-                last_ts=events[-1]["ts"],
-                file_idx=file_idx,
-                offset=offset,
-                length=len(blob),
-            )
-        )
+        self._index.append(ChunkRef(events[0]["ts"], events[-1]["ts"], offset, len(blob)))
         # Iterators inside the chunk keep it. Those holding the chunk
         # before it get it staged: the prefetch they could not make while
         # it was open.
@@ -425,27 +367,15 @@ class EventReservoir:
             elif it.chunk_id == chunk_id - 1 and it._current is not None:
                 self.cache.put(chunk_id, events)
                 it._reserved = True
-        for e in events:
-            eid = e.get("id")
-            if eid is not None:
-                self._dedup.pop(eid, None)
+        self._dedup.difference_update(e.get("id") for e in events)
 
     # -- read path -----------------------------------------------------------
 
-    def _read_blob(self, ref: ChunkRef) -> bytes:
-        fd = self._read_fds.get(ref.file_idx)
-        if fd is None:
-            fd = os.open(self._files[ref.file_idx], os.O_RDONLY)
-            self._read_fds[ref.file_idx] = fd
-        return os.pread(fd, ref.length, ref.offset)
-
-    def _decode(self, blob: bytes) -> list[Event]:
-        sid, cols = pickle.loads(zlib.decompress(blob))
-        fields = self.registry.get(sid)
-        return [dict(zip(fields, row)) for row in zip(*cols)] if cols and cols[0] else []
-
     def _load_sealed(self, chunk_id: int) -> list[Event]:
-        return self._decode(self._read_blob(self._index[chunk_id]))
+        ref = self._index[chunk_id]
+        blob = os.pread(self._file().fileno(), ref.length, ref.offset)
+        cols = pickle.loads(zlib.decompress(blob))
+        return [dict(zip(cols, row)) for row in zip(*cols.values())]
 
     def _fetch_sealed(self, chunk_id: int) -> list[Event]:
         """Fetch a sealed chunk for iteration.
@@ -527,37 +457,20 @@ class EventReservoir:
     def checkpoint(self) -> dict:
         """Seal in-memory chunks and return restorable metadata."""
         self.flush()
-        return {
-            "index": list(self._index),
-            "files": list(self._files),
-            "open_id": self._open_id,
-            "schemas": dict(self.registry._schemas),
-            "total_events": self.total_events,
-        }
+        self._file()  # exists even when nothing was sealed, so it can be copied
+        return {"index": list(self._index), "file": self.path,
+                "total_events": self.total_events}
 
     def load(self, meta: dict) -> None:
-        """Fill this empty reservoir from checkpoint metadata + copied files."""
+        """Fill this empty reservoir from checkpoint metadata and a copy of
+        the checkpointed file at ``path``; later seals append to it."""
         self._index = list(meta["index"])
-        self._files = [
-            os.path.join(self.dir, os.path.basename(p)) for p in meta["files"]
-        ]
-        self._open_id = meta["open_id"]
+        self._open_id = len(self._index)  # the checkpoint sealed every chunk
         self.total_events = meta["total_events"]
-        for sid, fields in sorted(meta["schemas"].items()):
-            self.registry.register(fields)
         if self._index:
             self._last_closed_ts = self.watermark = self._index[-1].last_ts
-        # reopen the last file for appends if it is not full
-        if self._files:
-            last_file = len(self._files) - 1
-            n_in_last = sum(1 for c in self._index if c.file_idx == last_file)
-            self._write_fh = open(self._files[-1], "ab")
-            self._chunks_in_current_file = n_in_last
 
     def close(self) -> None:
-        if self._write_fh is not None:
-            self._write_fh.close()
-            self._write_fh = None
-        for fd in self._read_fds.values():
-            os.close(fd)
-        self._read_fds.clear()
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None

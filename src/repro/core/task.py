@@ -159,14 +159,13 @@ class TaskProcessor:
     ) -> "TaskProcessor":
         """Rebuild a processor from another processor's checkpoint.
 
-        Copies the reservoir files and state snapshot (the paper's data
+        Copies the reservoir file and state snapshot (the paper's data
         transfer between processor units), then the caller replays
         messages after ``ckpt['last_offset']`` from the messaging layer.
         """
         tp = cls(ckpt["task_id"], statements, data_dir,
                  reservoir_kwargs=reservoir_kwargs)
-        for src in ckpt["reservoir"]["files"]:
-            shutil.copy(src, tp.reservoir.dir)
+        shutil.copy(ckpt["reservoir"]["file"], tp.reservoir.path)
         tp.reservoir.load(ckpt["reservoir"])
         state_copy = shutil.copy(ckpt["state_path"], tp.store.dir)
         tp.store.load(state_copy)

@@ -58,17 +58,11 @@ class MiniKafka:
             raise ValueError("partitions must be >= 1")
         self._topics[name] = [_Partition() for _ in range(partitions)]
 
-    def delete_topic(self, name: str) -> None:
-        self._topics.pop(name, None)
-
     def topics(self) -> list[str]:
         return sorted(self._topics)
 
     def partitions(self, topic: str) -> int:
         return len(self._topics[topic])
-
-    def topic_partitions(self, topic: str) -> list[tuple[str, int]]:
-        return [(topic, p) for p in range(self.partitions(topic))]
 
     # -- produce / fetch ------------------------------------------------------
 

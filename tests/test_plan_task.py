@@ -405,20 +405,26 @@ def test_state_drifts_to_empty_after_a_quiet_gap(tmp_path):
     assert len(tp.store) > 0
 
 
-def test_checkpoint_recover_resumes_exactly(tmp_path):
-    sqls = ["SELECT sum(amount), count(amount) FROM payments "
-            "GROUP BY card_id OVER sliding 1 minute"]
-    tp = make_tp(tmp_path, sqls, chunk_events=16)
-    events = _payments(n=200)
-    for e in events[:120]:
+@pytest.mark.parametrize("sqls,events,chunk_events,cut", [
+    (["SELECT sum(amount), count(amount) FROM payments "
+      "GROUP BY card_id OVER sliding 1 minute"], _payments(n=200), 16, 120),
+    # the schema evolves: ``c`` first appears in the second chunk, which
+    # the recovered tail reads back from disk
+    (["SELECT sum(c) FROM s WHERE card == 2 GROUP BY card OVER sliding 5 seconds"],
+     [{"id": i, "ts": i * SECOND, "card": 1 if i < 4 else 1 + i % 2,
+       **({"c": float(i)} if i >= 4 else {})} for i in range(40)], 4, 12),
+], ids=["payments", "field-added-later"])
+def test_checkpoint_recover_resumes_exactly(tmp_path, sqls, events, chunk_events, cut):
+    tp = make_tp(tmp_path, sqls, chunk_events=chunk_events)
+    for e in events[:cut]:
         tp.process(e)
     ckpt = tp.checkpoint()
     tp2 = TaskProcessor.recover(
         ckpt, sqls, str(tmp_path / "tp2"),
-        reservoir_kwargs={"chunk_events": 16, "cache_chunks": 16},
+        reservoir_kwargs={"chunk_events": chunk_events, "cache_chunks": 16},
     )
     # both processors answer identically on the remaining stream
-    for i, e in enumerate(events[120:]):
+    for i, e in enumerate(events[cut:], cut):
         a1 = tp.process(e)
         a2 = tp2.process(e)
         assert a1 == a2, f"divergence at event {i}"

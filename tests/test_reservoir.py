@@ -1,9 +1,7 @@
 """Tests for the event reservoir (paper §4.1.1)."""
-import os
-
 import pytest
 
-from repro.core.reservoir import CHUNKS_PER_FILE, IO_READ_COST_US, EventReservoir
+from repro.core.reservoir import IO_READ_COST_US, EventReservoir
 
 
 def _ev(i, ts=None, **extra):
@@ -13,7 +11,6 @@ def _ev(i, ts=None, **extra):
 def make(tmp_path, **kw):
     kw.setdefault("chunk_events", 8)
     kw.setdefault("cache_chunks", 16)
-    kw.setdefault("schema", ("id", "ts", "v"))
     return EventReservoir(str(tmp_path / "res"), **kw)
 
 
@@ -31,14 +28,6 @@ def test_chunks_seal_at_capacity(tmp_path):
     assert r.total_events == 8
     _fill(r, 7, start=8)
     assert r.sealed_chunks() == 1  # second chunk still open
-
-
-def test_files_rotate_after_max_chunks(tmp_path):
-    r = make(tmp_path)
-    _fill(r, 8 * (CHUNKS_PER_FILE + 1))
-    assert r.sealed_chunks() == CHUNKS_PER_FILE + 1
-    assert len(r._files) == 2
-    assert all(os.path.exists(p) for p in r._files)
 
 
 def test_iteration_roundtrip_all_events(tmp_path):
@@ -317,22 +306,26 @@ def test_seek_releases_the_chunk_staged_for_the_old_position(tmp_path):
     assert [e["id"] for e in out] == list(range(13, 24))
 
 
-# -- schema registry --------------------------------------------------------------
+# -- self-describing chunks ---------------------------------------------------------
 
 def test_schema_evolution_roundtrip(tmp_path):
-    r = EventReservoir(
-        str(tmp_path / "res"), chunk_events=4, schema=("id", "ts", "v")
-    )
+    """A field first seen in a later chunk is stored with that chunk, and
+    reads back from disk, after a checkpoint load too; events that lacked
+    it read it as None."""
+    r = make(tmp_path, chunk_events=4)
     for i in range(4):
         r.append({"id": i, "ts": i * 10, "v": float(i)})
-    r.registry.register(("id", "ts", "v", "w"))  # schema evolves
-    for i in range(4, 8):
+    for i in range(4, 10):
         r.append({"id": i, "ts": i * 10, "v": float(i), "w": i * 2.0})
-    out = []
-    r.iterator().advance_until(10**9, out)
-    assert "w" not in out[0] or out[0]["w"] is None  # old schema chunk
-    assert out[-1]["w"] == 14.0  # new schema chunk
-    assert len(r.registry) == 2
+    meta = r.checkpoint()
+    r2 = make(tmp_path, chunk_events=4)
+    r2.load(meta)
+    for res in (r, r2):
+        out = []
+        res.iterator().advance_until(10**9, out)
+        assert [e["id"] for e in out] == list(range(10))
+        assert [e.get("w") for e in out] == [None] * 4 + [i * 2.0 for i in range(4, 10)]
+        assert res.demand_loads == 1  # chunk 0 came from disk, the rest prefetched
 
 
 # -- checkpoint / restore -----------------------------------------------------------
@@ -342,9 +335,7 @@ def test_checkpoint_restore_roundtrip(tmp_path):
     _fill(r, 30)
     meta = r.checkpoint()
     assert r.sealed_chunks() == 4  # 30 events / 8 per chunk, flushed
-    r2 = EventReservoir(
-        str(tmp_path / "res"), chunk_events=8, schema=("id", "ts", "v")
-    )
+    r2 = make(tmp_path)
     r2.load(meta)
     out = []
     r2.iterator().advance_until(10**9, out)

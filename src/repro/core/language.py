@@ -172,7 +172,13 @@ class _FilterParser:
                 ">": lambda a, b: a > b,
                 ">=": lambda a, b: a >= b,
             }[op]
-            return (lambda l, r: lambda e: ops(l(e), r(e)))(left, right)
+
+            def cmp(e):
+                # an event without the field compares false, as SQL's NULL
+                a, b = left(e), right(e)
+                return a is not None and b is not None and ops(a, b)
+
+            return cmp
         # bare field/literal used as a boolean
         return (lambda l: lambda e: bool(l(e)))(left)
 
@@ -188,7 +194,7 @@ class _FilterParser:
             return lambda e, v=val: v
         if kind == "word":
             self._take()
-            return lambda e, f=val: e[f]
+            return lambda e, f=val: e.get(f)
         raise ValueError(f"unexpected token {self._peek()}")
 
 

@@ -1,26 +1,30 @@
 """Spark reference implementations of per-event window answers.
 
-Two DataFrame → DataFrame transformations, both exact and
-oracle-checkable:
+One per-entity pass, :func:`window_pass`, answers every event over the
+rows its ``bounds`` give, ``lo < ts <= hi``, reusing the same stateless
+aggregators as the Railgun engine. Rows with equal timestamps see each
+other, as in a SQL ``RANGE`` frame. It serves:
 
 - :func:`sliding_answers` — what a **real-time sliding window** must
   answer for every event: the aggregate over ``(t - w, t]`` of the
-  event's entity, evaluated at the event's own timestamp. Implemented as
-  an ``applyInPandas`` per-entity two-pointer pass (amortized O(1) per
-  event), reusing the same incremental aggregators as the Railgun engine.
+  event's entity (:func:`sliding_bounds`), as an ``applyInPandas``.
   Checked against DuckDB ``RANGE BETWEEN (w-1) PRECEDING AND CURRENT ROW``
-  window frames in the tests.
+  window frames in the tests. The Structured Streaming operator
+  (``streaming/stateful.py``) runs the same pass per micro-batch.
 
 - :func:`hopping_answers` — what a **hopping-window** system (Flink-style)
   can answer per event: the aggregate of the *last completed* hop window
-  ``[b - w, b)``, ``b = floor(t/hop)·hop``. This reproduces Fig 1: the
-  5th event within 5 minutes of the 1st sees a count of 4.
+  ``[b - w, b)``, ``b = floor(t/hop)·hop`` (:func:`hopping_bounds`). This
+  reproduces Fig 1: the 5th event within 5 minutes of the 1st sees a
+  count of 4.
 
 - :func:`hopping_accuracy` — quantifies the paper's **A** requirement:
   per-event agreement between hopping and true sliding answers, plus the
   §2.1 business-rule miss rate ("block if count(last 5 min) > 4").
 """
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 import pandas as pd
@@ -33,35 +37,47 @@ from .aggregators import aggregator
 NUMERIC_AGGS = ("count", "sum", "avg", "min", "max", "stdDev", "countDistinct")
 
 
-def _out_schema(df: DataFrame, key: str, aggs: tuple[str, ...], field: str) -> StructType:
-    base = [
-        StructField("id", df.schema["id"].dataType),
-        StructField("ts", df.schema["ts"].dataType),
-        StructField(key, df.schema[key].dataType),
-    ]
-    return StructType(base + [StructField(f"{a}_{field}", DoubleType()) for a in aggs])
+def sliding_bounds(window_ms: int, delay_ms: int = 0) -> Callable:
+    """A sliding window's rows for an event at ``t``: ``(t - d - w, t - d]``."""
+    return lambda ts: (ts - delay_ms - window_ms, ts - delay_ms)
 
 
-def _sliding_group(
-    pdf: pd.DataFrame, key: str, field: str, aggs: tuple[str, ...],
-    window_ms: int, delay_ms: int
+def hopping_bounds(window_ms: int, hop_ms: int) -> Callable:
+    """The last completed hop window ``[b - w, b)``, ``b = floor(t/hop)·hop``,
+    as ``(b - w - 1, b - 1]`` on integer ms."""
+
+    def bounds(ts):
+        b = ts // hop_ms * hop_ms
+        return b - window_ms - 1, b - 1
+
+    return bounds
+
+
+def window_pass(
+    pdf: pd.DataFrame, key: str, field: str, aggs: tuple[str, ...], bounds: Callable
 ) -> pd.DataFrame:
+    """One entity's per-event answers, sorted by (ts, id).
+
+    Row i is answered over the rows with ``lo[i] < ts <= hi[i]``, where
+    ``lo, hi = bounds(ts)``, so tied rows see each other. Both bounds must
+    be non-decreasing in ts: a head and a tail pointer then add and evict
+    each row once (amortized O(1) per event).
+    """
     pdf = pdf.sort_values(["ts", "id"], kind="mergesort").reset_index(drop=True)
     ts = pdf["ts"].to_numpy()
     vals = pdf[field].to_numpy()
+    lo, hi = bounds(ts)
     n = len(pdf)
     impls = [aggregator(a) for a in aggs]
     states = [g.new() for g in impls]
     out = np.full((len(aggs), n), np.nan)
     head = tail = 0
     for i in range(n):
-        hi = ts[i] - delay_ms
-        lo = hi - window_ms
-        while head < n and ts[head] <= hi:
+        while head < n and ts[head] <= hi[i]:
             for g, st in zip(impls, states):
                 g.add(st, head, vals[head])
             head += 1
-        while tail < head and ts[tail] <= lo:
+        while tail < head and ts[tail] <= lo[i]:
             for g, st in zip(impls, states):
                 g.evict(st, tail, vals[tail])
             tail += 1
@@ -73,6 +89,18 @@ def _sliding_group(
     for j, a in enumerate(aggs):
         res[f"{a}_{field}"] = out[j]
     return res
+
+
+def _answers(
+    df: DataFrame, key: str, field: str, aggs: tuple[str, ...], bounds: Callable
+) -> DataFrame:
+    schema = StructType(
+        [StructField(c, df.schema[c].dataType) for c in ("id", "ts", key)]
+        + [StructField(f"{a}_{field}", DoubleType()) for a in aggs]
+    )
+    return df.select("id", "ts", key, field).groupBy(key).applyInPandas(
+        lambda pdf: window_pass(pdf, key, field, aggs, bounds), schema
+    )
 
 
 def sliding_answers(
@@ -88,44 +116,7 @@ def sliding_answers(
     for a in aggs:
         if a not in NUMERIC_AGGS:
             raise ValueError(f"unsupported per-event agg {a!r}")
-    schema = _out_schema(df, key, aggs, field)
-
-    def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        return _sliding_group(pdf, key, field, aggs, window_ms, delay_ms)
-
-    return df.select("id", "ts", key, field).groupBy(key).applyInPandas(fn, schema)
-
-
-def _hopping_group(
-    pdf: pd.DataFrame, key: str, field: str, aggs: tuple[str, ...],
-    window_ms: int, hop_ms: int
-) -> pd.DataFrame:
-    pdf = pdf.sort_values(["ts", "id"], kind="mergesort").reset_index(drop=True)
-    ts = pdf["ts"].to_numpy()
-    vals = pdf[field].to_numpy()
-    n = len(pdf)
-    impls = [aggregator(a) for a in aggs]
-    states = [g.new() for g in impls]
-    out = np.full((len(aggs), n), np.nan)
-    head = tail = 0
-    for i in range(n):
-        b = (ts[i] // hop_ms) * hop_ms  # end of the last completed window
-        while head < n and ts[head] < b:
-            for g, st in zip(impls, states):
-                g.add(st, head, vals[head])
-            head += 1
-        while tail < head and ts[tail] < b - window_ms:
-            for g, st in zip(impls, states):
-                g.evict(st, tail, vals[tail])
-            tail += 1
-        for j, (g, st) in enumerate(zip(impls, states)):
-            v = g.value(st)
-            if v is not None:
-                out[j, i] = float(v)
-    res = pdf[["id", "ts", key]].copy()
-    for j, a in enumerate(aggs):
-        res[f"{a}_{field}"] = out[j]
-    return res
+    return _answers(df, key, field, aggs, sliding_bounds(window_ms, delay_ms))
 
 
 def hopping_answers(
@@ -138,12 +129,7 @@ def hopping_answers(
     hop_ms: int,
 ) -> DataFrame:
     """Per-event answers a hopping-window system serves (last completed window)."""
-    schema = _out_schema(df, key, aggs, field)
-
-    def fn(pdf: pd.DataFrame) -> pd.DataFrame:
-        return _hopping_group(pdf, key, field, aggs, window_ms, hop_ms)
-
-    return df.select("id", "ts", key, field).groupBy(key).applyInPandas(fn, schema)
+    return _answers(df, key, field, aggs, hopping_bounds(window_ms, hop_ms))
 
 
 def hopping_accuracy(

@@ -41,7 +41,7 @@ class RailgunCluster:
         self.units: dict[str, ProcessorUnit] = {}
         self.frontends: dict[str, FrontEnd] = {}
         self.nodes: list[str] = []
-        self._streams: dict[str, dict] = {}  # stream -> {partitioners, partitions}
+        self._streams: dict[str, list[str]] = {}  # stream -> partitioner fields
         self._topic_statements: dict[str, list[str]] = {}
         self._event_counter = itertools.count()
         self._upn = units_per_node
@@ -104,9 +104,7 @@ class RailgunCluster:
                     f"(partitioners: {partitioners})"
                 )
             by_topic.setdefault(f"{stream}.{anchor}", []).append(sql)
-        self._streams[stream] = {
-            "partitioners": partitioners, "partitions": partitions,
-        }
+        self._streams[stream] = partitioners
         for part_field in partitioners:
             topic = f"{stream}.{part_field}"
             self.kafka.create_topic(topic, partitions)
@@ -142,15 +140,17 @@ class RailgunCluster:
                 prev_active[t] = uid
             for t in u.replica:
                 prev_replicas.setdefault(t, []).append(uid)
-            if u.stale:
-                stale[uid] = set(u.stale)
+            # tasks once held here whose data is still on disk (Fig 7 "stale")
+            held = set(u.task_processors) - u.active - u.replica
+            if held:
+                stale[uid] = held
         asg = sticky_assign(
             AssignmentInput(
                 tasks=tasks, processors=live, replication=self.replication,
                 prev_active=prev_active, prev_replicas=prev_replicas, stale=stale,
             )
         )
-        # apply: drop lost tasks first, then materialize gained ones
+        # apply: materialize gained tasks; a lost task's data stays on disk
         new_by_unit: dict[str, tuple[set[Task], set[Task]]] = {
             uid: (set(), set()) for uid in live
         }
@@ -161,13 +161,10 @@ class RailgunCluster:
                 new_by_unit[uid][1].add(t)
         for uid, (new_active, new_replica) in new_by_unit.items():
             u = self.units[uid]
-            for t in (u.active | u.replica) - (new_active | new_replica):
-                u.drop_task(t)
             for t in (new_active | new_replica) - set(u.task_processors):
                 ckpt = self._checkpoint_from_holder(t, exclude=uid)
                 u.ensure_task(t, self._topic_statements[t[0]], ckpt)
             u.active, u.replica = new_active, new_replica
-            u.stale -= new_active | new_replica
 
     def _checkpoint_from_holder(self, task: Task, exclude: str) -> dict | None:
         """Find a live unit with the task's data and take its checkpoint.
@@ -189,7 +186,7 @@ class RailgunCluster:
         fe = self.frontends[node]
         if "id" not in event:
             event = dict(event, id=f"ev{next(self._event_counter)}")
-        fe.send(stream, self._streams[stream]["partitioners"], event)
+        fe.send(stream, self._streams[stream], event)
         for _ in range(max_steps):
             self.step()
             fe.poll_replies()

@@ -73,8 +73,6 @@ class ProcessorUnit:
         self.replica: set[Task] = set()
         self.task_processors: dict[Task, TaskProcessor] = {}
         self._pos: dict[Task, int] = {}  # next offset to fetch per task
-        # tasks once held here whose data is still on disk (Fig 7 "stale")
-        self.stale: set[Task] = set()
         self.alive = True
 
     # -- assignment ---------------------------------------------------------
@@ -111,13 +109,6 @@ class ProcessorUnit:
             )
             self._pos[task] = 0
         self.task_processors[task] = tp
-
-    def drop_task(self, task: Task) -> None:
-        """Unassigned during a rebalance: data stays on disk (stale)."""
-        if task in self.task_processors:
-            self.stale.add(task)
-        self.active.discard(task)
-        self.replica.discard(task)
 
     # -- Algorithm 1 ----------------------------------------------------------
 

@@ -7,12 +7,15 @@ operator as ``GroupedData.applyInPandasWithState``; this module
 implements Railgun's **A** requirement on it: per key, the state is the
 event buffer trimmed to the window span (the streaming analogue of the
 event reservoir's window slice), and every incoming event is answered
-with the exact aggregate over ``(t - w, t]`` — no hops, no panes.
+with the exact aggregate over ``(t - w, t]`` — no hops, no panes — by
+the batch reference's own pass, :func:`repro.core.sliding.window_pass`.
+Events with equal timestamps see each other when they share a
+micro-batch or one is buffered; a tied event that arrives in a later
+micro-batch cannot change an answer already emitted.
 
 Spark's micro-batching means *latency* is batched (which is exactly why
 the paper builds its own engine — see DESIGN.md §6); *accuracy* is
-per-event and is oracle-checked in the tests against DuckDB via the
-batch reference.
+per-event and is oracle-checked in the tests against DuckDB.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from ..core.aggregators import aggregator
+from ..core.sliding import sliding_bounds, window_pass
 
 _STATE_SCHEMA = StructType(
     [
@@ -63,64 +66,26 @@ def sliding_stateful_transform(
     """Attach the stateful per-event sliding aggregation to a streaming df.
 
     State per key: (ts[], vals[], ids[]) — the events still inside the
-    largest possible window. Each micro-batch merges the buffered and the
-    new events in timestamp order, replays the incremental aggregators,
-    emits one output row per *new* event, and trims the buffer to
+    largest possible window. Each micro-batch runs the reference's
+    :func:`~repro.core.sliding.window_pass` over the buffered and the new
+    events, emits one output row per *new* event, and trims the buffer to
     ``(t_max - w, t_max]``.
     """
     out_schema = _output_schema(df.schema[key].dataType, aggs, field)
+    bounds = sliding_bounds(window_ms)
 
     def fn(
         k: Tuple[Any], pdf_iter: Iterator[pd.DataFrame], state: GroupState
     ) -> Iterator[pd.DataFrame]:
-        if state.exists:
-            ts_buf, val_buf, id_buf = state.get
-            ts_buf, val_buf, id_buf = list(ts_buf), list(val_buf), list(id_buf)
-        else:
-            ts_buf, val_buf, id_buf = [], [], []
-        new = pd.concat(list(pdf_iter), ignore_index=True)
-        new = new.sort_values(["ts", "id"], kind="mergesort")
-        new_ids = set(new["id"].tolist())
-        ts_all = ts_buf + new["ts"].tolist()
-        val_all = val_buf + new[field].tolist()
-        id_all = id_buf + new["id"].tolist()
-        order = sorted(range(len(ts_all)), key=lambda i: (ts_all[i], id_all[i]))
-        impls = [aggregator(a) for a in aggs]
-        states = [g.new() for g in impls]
-        rows = []
-        head = tail = 0
-        # replay the merged buffer; answer only the new events
-        for pos in range(len(order)):
-            i = order[pos]
-            while head <= pos:
-                j = order[head]
-                for g, st in zip(impls, states):
-                    g.add(st, j, val_all[j])
-                head += 1
-            while tail < head:
-                j = order[tail]
-                if ts_all[j] <= ts_all[i] - window_ms:
-                    for g, st in zip(impls, states):
-                        g.evict(st, j, val_all[j])
-                    tail += 1
-                else:
-                    break
-            if id_all[i] in new_ids:
-                vals = [
-                    float(v) if (v := g.value(st)) is not None else None
-                    for g, st in zip(impls, states)
-                ]
-                rows.append([id_all[i], ts_all[i], k[0], *vals])
-        t_max = max(ts_all)
-        keep = [i for i in order if ts_all[i] > t_max - window_ms]
+        new = pd.concat(list(pdf_iter), ignore_index=True)[["ts", field, "id"]]
+        buf = pd.DataFrame(dict(zip(new.columns, state.get))) if state.exists else None
+        rows = pd.concat([buf, new], ignore_index=True).assign(key=k[0])
+        keep = rows[rows["ts"] > rows["ts"].max() - window_ms]
         state.update(
-            (
-                [ts_all[i] for i in keep],
-                [float(val_all[i]) for i in keep],
-                [id_all[i] for i in keep],
-            )
+            (keep["ts"].tolist(), keep[field].astype(float).tolist(), keep["id"].tolist())
         )
-        yield pd.DataFrame(rows, columns=[f.name for f in out_schema.fields])
+        res = window_pass(rows, "key", field, aggs, bounds)
+        yield res[res["id"].isin(new["id"])]
 
     return (
         df.groupBy(key)

@@ -14,15 +14,16 @@ from repro import synth_data
 from repro.core.engines import FlinkHoppingEngine, FlinkRecomputeEngine
 import pandas as pd
 
-from repro.core.sliding import _hopping_group, _sliding_group
+from repro.core.sliding import hopping_bounds, sliding_bounds, window_pass
 from repro.core.task import TaskProcessor
 from repro.core.windows import MINUTE, SECOND
 
 
-def _per_card(group_fn, pdf, *args):
-    """Apply a per-entity reference function per card (as Spark's groupBy does)."""
+def _per_card(pdf, aggs, bounds):
+    """Apply the per-entity reference pass per card (as Spark's groupBy does)."""
     return pd.concat(
-        [group_fn(g, "card_id", "amount", *args) for _, g in pdf.groupby("card_id")],
+        [window_pass(g, "card_id", "amount", aggs, bounds)
+         for _, g in pdf.groupby("card_id")],
         ignore_index=True,
     )
 
@@ -74,7 +75,7 @@ def test_railgun_engine_matches_sliding_reference(tmp_path, stream):
         f"{leaf.metric.agg}_{leaf.metric.agg_field}": leaf.metric.name
         for leaf in tp.plan.leaves
     }
-    ref = _per_card(_sliding_group, pdf, aggs, MINUTE, 0)
+    ref = _per_card(pdf, aggs, sliding_bounds(MINUTE))
     _check_engine(tp, events, ref, aggs, names=names)
 
 
@@ -95,7 +96,7 @@ def test_flink_hopping_engine_matches_reference(stream, hop_ms):
     pdf, events = stream
     aggs = ("sum", "count")
     eng = FlinkHoppingEngine(aggs=aggs, window_ms=5 * MINUTE, hop_ms=hop_ms)
-    ref = _per_card(_hopping_group, pdf, aggs, 5 * MINUTE, hop_ms)
+    ref = _per_card(pdf, aggs, hopping_bounds(5 * MINUTE, hop_ms))
     _check_engine(eng, events, ref, aggs)
 
 
@@ -122,7 +123,7 @@ def test_flink_recompute_engine_matches_sliding_reference(stream):
     pdf, events = stream
     aggs = ("sum", "count", "min", "max")
     eng = FlinkRecomputeEngine(aggs=aggs, window_ms=MINUTE)
-    ref = _per_card(_sliding_group, pdf, aggs, MINUTE, 0)
+    ref = _per_card(pdf, aggs, sliding_bounds(MINUTE))
     _check_engine(eng, events, ref, aggs)
 
 

@@ -428,11 +428,17 @@ def test_checkpoint_recover_resumes_exactly(tmp_path):
          "GROUP BY card_id OVER sliding 1 minute"], _payments(n=200), 16, 120)
     # the schema evolves: ``c`` first appears in the second chunk, which
     # the recovered tail reads back from disk
+    evolving = [{"id": i, "ts": i * SECOND, "card": 1 if i < 4 else 1 + i % 2,
+                 **({"c": float(i)} if i >= 4 else {})} for i in range(40)]
     _assert_recover_resumes_exactly(
         tmp_path / "field-added-later",
         ["SELECT sum(c) FROM s WHERE card == 2 GROUP BY card OVER sliding 5 seconds"],
-        [{"id": i, "ts": i * SECOND, "card": 1 if i < 4 else 1 + i % 2,
-          **({"c": float(i)} if i >= 4 else {})} for i in range(40)], 4, 12)
+        evolving, 4, 12)
+    # ... and a filter on the new field passes over the events without it
+    _assert_recover_resumes_exactly(
+        tmp_path / "filter-on-new-field",
+        ["SELECT sum(c) FROM s WHERE c > 5 GROUP BY card OVER sliding 5 seconds"],
+        evolving, 4, 12)
 
 
 def test_stats_reporting(tmp_path):

@@ -3,7 +3,8 @@
 ``sliding_answers`` (exact per-event real-time sliding aggregates) is
 checked against DuckDB ``RANGE BETWEEN (w-1) PRECEDING AND CURRENT ROW``
 window frames over the same input — a genuinely independent
-implementation of the window semantics. ``hopping_answers`` (Fig 1
+implementation of the window semantics, tied timestamps included (they
+see each other, as in a ``RANGE`` frame). ``hopping_answers`` (Fig 1
 semantics) is checked against a brute-force pandas reference, and the
 Fig 1 scenario itself is pinned as a test.
 """
@@ -29,6 +30,12 @@ def pay(spark, pay_pdf):
     return spark.createDataFrame(pay_pdf).cache()
 
 
+@pytest.fixture(scope="module")
+def tied_pdf(pay_pdf):
+    """The fixture stream with ts coarsened to whole 5 s buckets: many ties."""
+    return pay_pdf.assign(ts=pay_pdf["ts"] // (5 * SECOND) * (5 * SECOND))
+
+
 _DUCK_AGG = {
     "sum": "SUM(amount)",
     "count": "COUNT(amount)",
@@ -49,9 +56,11 @@ def _duck_sql(aggs, window_ms, key="card_id"):
 
 
 @pytest.mark.parametrize("window_ms", [10 * SECOND, MINUTE, 5 * MINUTE])
-def test_sliding_sum_count_vs_duckdb(spark, pay, pay_pdf, window_ms):
-    got = sliding_answers(pay, aggs=("sum", "count"), window_ms=window_ms)
-    assert_equivalent(got, _duck_sql(("sum", "count"), window_ms), payments=pay_pdf)
+def test_sliding_sum_count_vs_duckdb(spark, pay, pay_pdf, tied_pdf, window_ms):
+    sql = _duck_sql(("sum", "count"), window_ms)
+    for pdf, df in ((pay_pdf, pay), (tied_pdf, spark.createDataFrame(tied_pdf))):
+        got = sliding_answers(df, aggs=("sum", "count"), window_ms=window_ms)
+        assert_equivalent(got, sql, payments=pdf)
 
 
 def test_sliding_avg_min_max_vs_duckdb(spark, pay, pay_pdf):
@@ -137,11 +146,7 @@ def test_figure1_hopping_misses_fifth_event(spark):
             "amount": [10.0] * 5,
         }
     )
-    df = pd.DataFrame(pdf)
-    spark_df = None
-    import pyspark.sql
-
-    spark_df = spark.createDataFrame(df)
+    spark_df = spark.createDataFrame(pdf)
     true = (
         sliding_answers(spark_df, aggs=("count",), window_ms=5 * MINUTE)
         .toPandas()

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import synth_data
-from repro.core.windows import MINUTE
+from repro.core.windows import MINUTE, SECOND
 from repro.oracle import assert_equivalent
 from repro.streaming import run_sliding_stream
 
@@ -49,13 +49,19 @@ _ORACLE_SQL = (
 
 
 def test_streaming_matches_duckdb_oracle(spark, pay_pdf, tmp_path):
-    got = _run(spark, pay_pdf, tmp_path, n_files=1, name="one")
-    assert_equivalent(got, _ORACLE_SQL, payments=pay_pdf)
+    # the second input coarsens ts to whole 5 s buckets: tied events share
+    # the one micro-batch and must see each other, as in the RANGE frame
+    tied = pay_pdf.assign(ts=pay_pdf["ts"] // (5 * SECOND) * (5 * SECOND))
+    for name, pdf in (("one", pay_pdf), ("tied", tied)):
+        got = _run(spark, pdf, tmp_path, n_files=1, name=name)
+        assert_equivalent(got, _ORACLE_SQL, payments=pdf)
 
 
 def test_streaming_state_carries_across_micro_batches(spark, pay_pdf, tmp_path):
     """One micro-batch per file: per-key window state spans batches, and
-    the merged per-event answers still equal the DuckDB oracle."""
+    the merged per-event answers still equal the DuckDB oracle. The input
+    keeps unique ts: a tied event that arrives in a later micro-batch
+    cannot be in an earlier answer."""
     got = _run(
         spark, pay_pdf, tmp_path, n_files=4, name="multi",
         max_files_per_trigger=1,

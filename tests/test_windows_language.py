@@ -162,6 +162,12 @@ def test_metric_names_are_descriptive():
         ("status != 'declined'", {"status": "ok"}, True),
         ("a == 1 and b == 2 and c == 3", {"a": 1, "b": 2, "c": 3}, True),
         ("a == 1 or b == 2 and c == 99", {"a": 0, "b": 2, "c": 99}, True),
+        # a field the event lacks compares false, whatever the operator
+        ("fee > 1", {"amount": 5}, False),
+        ("fee != 1", {"amount": 5}, False),
+        ("1 <= fee", {"fee": None}, False),
+        ("fee > 1 or amount > 1", {"amount": 5}, True),
+        ("fee", {"amount": 5}, False),
     ],
 )
 def test_filter_expressions(expr, event, expected):

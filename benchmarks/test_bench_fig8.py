@@ -69,8 +69,5 @@ def test_micro_railgun_per_100_events(benchmark):
 
 @pytest.mark.parametrize("hop_ms", [5 * MINUTE, MINUTE, 10 * SECOND])
 def test_micro_flink_hopping_per_100_events(benchmark, hop_ms):
-    eng = FlinkHoppingEngine(
-        aggs=("sum",), window_ms=WINDOW_MS, hop_ms=hop_ms,
-        framework_overhead_us_per_pane=0.0,  # measure the real python cost
-    )
+    eng = FlinkHoppingEngine(aggs=("sum",), window_ms=WINDOW_MS, hop_ms=hop_ms)
     _bench_batches(benchmark, eng)

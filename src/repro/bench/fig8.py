@@ -13,6 +13,7 @@ sliding answers, and the "block if count(last 5 min) > 4" rule miss rate.
 from __future__ import annotations
 
 import os
+from typing import Callable
 
 import pandas as pd
 
@@ -20,7 +21,7 @@ from .. import synth_data
 from ..core.engines import FlinkHoppingEngine, FlinkRecomputeEngine
 from ..core.task import TaskProcessor
 from ..core.windows import MINUTE, SECOND
-from .harness import KafkaRTTModel, LatencyResult, run_engine
+from .harness import KafkaRTTModel, LatencyResult, io_cost_us, run_engine
 
 WINDOW_MS = 60 * MINUTE
 RATE_HZ = 500.0
@@ -31,6 +32,12 @@ HOPS_MS = (5 * MINUTE, MINUTE, 10 * SECOND, SECOND)
 # Calibrated so the hop-size ladder crosses sustainability where the paper
 # observed it (hops of 10 s or less cannot keep 500 ev/s) — DESIGN.md §2.
 FLINK_PANE_OVERHEAD_US = 8.0
+
+
+def pane_overhead_us(eng: FlinkHoppingEngine) -> Callable[[], float]:
+    """Calibrated µs of one event through the hopping baseline: the
+    framework overhead of every pane state it updates."""
+    return lambda: FLINK_PANE_OVERHEAD_US * eng.panes_per_event
 
 
 def make_events(n_events: int = 30_000, seed: int = 42) -> list[dict]:
@@ -90,6 +97,7 @@ def run_fig8(
         run_engine(
             tp, "railgun (sliding 60min)", events, rate_hz=RATE_HZ,
             rtt=rtt, seed=seed, extra={"hop": "-", "panes": "-"},
+            calibrated_us=io_cost_us(tp.reservoir),
         )
     )
     for hop_ms in HOPS_MS:
@@ -98,15 +106,13 @@ def run_fig8(
         # 1 s hop (3600 panes/event) stays tractable — the rest of the run
         # is bootstrap-resampled (see harness docstring)
         budget = max(300, min(max_measured, int(2_000_000 / panes)))
-        eng = FlinkHoppingEngine(
-            aggs=("sum",), window_ms=WINDOW_MS, hop_ms=hop_ms,
-            framework_overhead_us_per_pane=FLINK_PANE_OVERHEAD_US,
-        )
+        eng = FlinkHoppingEngine(aggs=("sum",), window_ms=WINDOW_MS, hop_ms=hop_ms)
         results.append(
             run_engine(
                 eng, f"flink (hop {hop_label(hop_ms)})", events, rate_hz=RATE_HZ,
                 max_measured=budget, rtt=rtt, seed=seed,
                 extra={"hop": hop_label(hop_ms), "panes": panes},
+                calibrated_us=pane_overhead_us(eng),
             )
         )
     eng = FlinkRecomputeEngine(aggs=("sum",), window_ms=WINDOW_MS)

@@ -22,7 +22,7 @@ import pandas as pd
 from .. import synth_data
 from ..core.task import TaskProcessor
 from ..core.windows import DAY, HOUR, MINUTE, SECOND
-from .harness import KafkaRTTModel, LatencyResult, run_engine
+from .harness import KafkaRTTModel, LatencyResult, io_cost_us, run_engine
 
 RATE_HZ_A = 500.0   # §5.2(a): the paper's rate
 # §5.2(b) rate, scaled for the substrate: the paper's JVM sustains
@@ -36,8 +36,8 @@ CACHE_CHUNKS = 220  # the paper's §5.2(b) cache size
 CHUNK_EVENTS = 256
 # worst-case demand load: prefetch defeated AND OS page cache missed →
 # full (EBS-like) IO read; deterministic 1-in-3 of demand loads
-# (``IO_SEEK_EVERY`` in core/reservoir.py)
-IO_SEEK = {"io_seek_cost_us": 10_000.0}
+# (``IO_SEEK_EVERY`` in bench/harness.py)
+IO_SEEK_US = 10_000.0
 
 WINDOW_SIZES = {
     "5min": 5 * MINUTE,
@@ -94,11 +94,29 @@ WARM_EVENTS = 1_200  # the paper discards a 5-min warm-up of each 35-min
 # cold demand miss) before the measured, virtual-time portion starts
 
 
-def _warm(tp: TaskProcessor, events: list[dict]) -> None:
-    for e in events:
+def _run_case(
+    data_dir: str, statements: list[str], offsets_ms: list[int],
+    events: list[dict], *, name: str, rate_hz: float, seed: int,
+    rtt: KafkaRTTModel, extra: dict,
+) -> tuple[LatencyResult, dict]:
+    """One T2/T3 row: load the tails' history into a fresh task, warm it
+    up, then measure the rest of the run. Returns the result and the
+    task's ``stats()`` after the run."""
+    tp = TaskProcessor(
+        "bench-task", statements, data_dir,
+        reservoir_kwargs={"chunk_events": CHUNK_EVENTS, "cache_chunks": CACHE_CHUNKS},
+    )
+    hist = _tail_history(events[-1]["ts"], offsets_ms, seed, rate_hz)
+    tp.prefill(hist.to_dict("records"))
+    tp.warm_start(hist, now_ts=0)
+    for e in events[:WARM_EVENTS]:
         tp.process(e)
-    tp.take_costs()
     tp.reservoir.reset_stats()
+    res = run_engine(
+        tp, name, events[WARM_EVENTS:], rate_hz=rate_hz, rtt=rtt, seed=seed,
+        extra=extra, calibrated_us=io_cost_us(tp.reservoir, IO_SEEK_US),
+    )
+    return res, tp.stats()
 
 
 def run_fig9a(
@@ -112,32 +130,16 @@ def run_fig9a(
     """T2: one result per window size; memory/iterator stats attached."""
     rtt = rtt or KafkaRTTModel()
     sizes = sizes or WINDOW_SIZES
-    events_pdf = _run_events(n_events, seed, RATE_HZ_A)
-    events = events_pdf.to_dict("records")
-    run_span = int(events_pdf["ts"].max())
+    events = _run_events(n_events, seed, RATE_HZ_A).to_dict("records")
     results = []
     for label, w in sizes.items():
-        tp = TaskProcessor(
-            "bench-task",
+        res, st = _run_case(
+            os.path.join(data_dir, f"fig9a-{label}"),
             ["SELECT sum(amount) FROM payments GROUP BY card_id "
              f"OVER sliding {w} ms"],
-            os.path.join(data_dir, f"fig9a-{label}"),
-            reservoir_kwargs={
-                "chunk_events": CHUNK_EVENTS, "cache_chunks": CACHE_CHUNKS,
-                **IO_SEEK,
-            },
+            [w], events, name=f"railgun (sliding {label})",
+            rate_hz=RATE_HZ_A, seed=seed, rtt=rtt, extra={"window": label},
         )
-        hist = _tail_history(run_span, [w], seed, RATE_HZ_A)
-        tp.prefill(hist.to_dict("records"))
-        tp.warm_start(hist, now_ts=0)
-        _warm(tp, events[:WARM_EVENTS])
-        res = run_engine(
-            tp, f"railgun (sliding {label})", events[WARM_EVENTS:],
-            rate_hz=RATE_HZ_A,
-            rtt=rtt, seed=seed,
-            extra={"window": label},
-        )
-        st = tp.stats()
         res.extra.update(
             memory_events=st["memory_events"],
             iterators=st["iterators"],
@@ -175,33 +177,17 @@ def run_fig9b(
     """T3: one result per iterator count (windows misaligned on purpose)."""
     rtt = rtt or KafkaRTTModel()
     counts = counts or WINDOW_COUNTS
-    events_pdf = _run_events(n_events, seed, RATE_HZ_B)
-    events = events_pdf.to_dict("records")
-    run_span = int(events_pdf["ts"].max())
+    events = _run_events(n_events, seed, RATE_HZ_B).to_dict("records")
     results = []
     for n_iters, n_windows in counts.items():
         statements, offsets = _fig9b_statements(n_windows)
-        tp = TaskProcessor(
-            "bench-task", statements, os.path.join(data_dir, f"fig9b-{n_iters}"),
-            reservoir_kwargs={
-                "chunk_events": CHUNK_EVENTS, "cache_chunks": CACHE_CHUNKS,
-                **IO_SEEK,
-            },
-        )
-        assert tp.plan.iterator_count == n_iters, (
-            tp.plan.iterator_count, n_iters,
-        )
-        hist = _tail_history(run_span, offsets, seed, RATE_HZ_B)
-        tp.prefill(hist.to_dict("records"))
-        tp.warm_start(hist, now_ts=0)
-        _warm(tp, events[:WARM_EVENTS])
-        res = run_engine(
-            tp, f"railgun ({n_windows} windows, {n_iters} iterators)",
-            events[WARM_EVENTS:],
-            rate_hz=RATE_HZ_B, rtt=rtt, seed=seed,
+        res, st = _run_case(
+            os.path.join(data_dir, f"fig9b-{n_iters}"), statements, offsets,
+            events, name=f"railgun ({n_windows} windows, {n_iters} iterators)",
+            rate_hz=RATE_HZ_B, seed=seed, rtt=rtt,
             extra={"windows": n_windows, "iterators": n_iters},
         )
-        st = tp.stats()
+        assert st["iterators"] == n_iters, (st["iterators"], n_iters)
         hits = st["cache_hits"]
         misses = st["demand_loads"]
         res.extra.update(

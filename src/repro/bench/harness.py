@@ -7,10 +7,12 @@ Methodology (DESIGN.md §2):
   coordinated-omission correction of the paper's ref [26]: a slow engine
   cannot slow the injector down.
 - Service times are **measured** (``perf_counter``) around real
-  ``engine.process`` calls, then adjusted by the engine's cost ledger:
-  synthetic µs are added (hardware we substitute: the Flink baseline's
-  per-pane framework overhead, the reservoir's page-cache and seek costs),
-  prefetch seconds are subtracted (asynchronous in the real system).
+  ``engine.process`` calls; nothing is subtracted (the reservoir's
+  prefetch runs inline, inside ``process``). This package alone
+  calibrates: the µs of hardware we substitute (Flink's per-pane
+  overhead, a demand load's page-cache read and seek) come from a
+  ``calibrated_us`` callable over counters the engines keep, are added
+  to the service, and are reported in their own ``calibrated_ms`` column.
 - Engines are a :class:`~repro.core.task.TaskProcessor` (Railgun) or a
   Flink baseline from :mod:`repro.core.engines`; answers are not read.
 - Departures come from the Lindley recursion over the scheduled arrivals,
@@ -29,16 +31,39 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Protocol
+from typing import Any, Callable, Protocol
 
 import numpy as np
 
 from .queueing import fifo_departures, percentiles_ms
 
+# page-cache read + syscall cost of one reservoir demand load, µs
+IO_READ_COST_US = 25.0
+# §5.2(b) worst case: when prefetch is defeated, some demand loads miss
+# the OS page cache too and pay a full IO seek. Deterministic model:
+# every IO_SEEK_EVERY-th demand load also pays the seek.
+IO_SEEK_EVERY = 3
+
 
 class Engine(Protocol):
     def process(self, event: dict) -> dict[str, Any]: ...
-    def take_costs(self) -> tuple[float, float]: ...
+
+
+def io_cost_us(reservoir, seek_us: float = 0.0) -> Callable[[], float]:
+    """Calibrated µs of the reservoir's demand loads since the last call:
+    ``IO_READ_COST_US`` each, plus ``seek_us`` on every ``IO_SEEK_EVERY``-th
+    ``demand_loads`` count. Build it after the reservoir's last ``reset_stats()``."""
+    last = reservoir.demand_loads
+
+    def cost() -> float:
+        nonlocal last
+        now = reservoir.demand_loads
+        seeks = now // IO_SEEK_EVERY - last // IO_SEEK_EVERY
+        us = IO_READ_COST_US * (now - last) + seek_us * seeks
+        last = now
+        return us
+
+    return cost
 
 
 @dataclass
@@ -70,7 +95,8 @@ class LatencyResult:
     n_events: int
     n_measured: int
     percentiles: dict[str, float]  # milliseconds
-    mean_service_ms: float
+    mean_service_ms: float  # measured wall time + calibrated
+    calibrated_ms: float  # the calibrated part of mean_service_ms
     utilization: float  # mean service / inter-arrival budget
     sustainable: bool
     latencies_s: np.ndarray = field(repr=False)
@@ -83,6 +109,7 @@ class LatencyResult:
             "events": self.n_events,
             **{k: round(v, 3) for k, v in self.percentiles.items()},
             "mean_service_ms": round(self.mean_service_ms, 4),
+            "calibrated_ms": round(self.calibrated_ms, 4),
             "utilization": round(self.utilization, 3),
             "sustainable": self.sustainable,
             **self.extra,
@@ -90,19 +117,22 @@ class LatencyResult:
 
 
 def measure_services(
-    engine: Engine, events: list[dict], *, n_measure: int | None = None
-) -> np.ndarray:
-    """Run events through the engine; return adjusted service times (s)."""
+    engine: Engine, events: list[dict], *, n_measure: int | None = None,
+    calibrated_us: Callable[[], float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run events through the engine; return per-event (measured wall
+    seconds, calibrated seconds). ``calibrated_us`` is called after each
+    event and returns the calibrated µs of the event just processed."""
     n = len(events) if n_measure is None else min(n_measure, len(events))
-    out = np.empty(n)
-    engine.take_costs()  # reset any setup-time ledger
+    wall = np.empty(n)
+    calibrated = np.zeros(n)
     for i in range(n):
         t0 = time.perf_counter()
         engine.process(events[i])
-        dt = time.perf_counter() - t0
-        syn_us, disc_s = engine.take_costs()
-        out[i] = max(dt - disc_s, 0.0) + syn_us * 1e-6
-    return out
+        wall[i] = time.perf_counter() - t0
+        if calibrated_us is not None:
+            calibrated[i] = calibrated_us() * 1e-6
+    return wall, calibrated
 
 
 def run_engine(
@@ -116,20 +146,24 @@ def run_engine(
     rtt: KafkaRTTModel | None = None,
     seed: int = 0,
     extra: dict | None = None,
+    calibrated_us: Callable[[], float] | None = None,
 ) -> LatencyResult:
-    """Measure the engine under a sustained arrival schedule."""
+    """Measure the engine under a sustained arrival schedule; each event's
+    service is its measured wall time plus its ``calibrated_us``."""
     n = len(events)
     t0 = events[0]["ts"]
     arrivals = np.array([(e["ts"] - t0) / 1e3 for e in events])
-    measured = measure_services(engine, events, n_measure=max_measured)
+    wall, calibrated = measure_services(
+        engine, events, n_measure=max_measured, calibrated_us=calibrated_us
+    )
     rng = np.random.default_rng(seed)
-    if len(measured) < n:
+    n_measured = len(wall)
+    if n_measured < n:
         # bootstrap the tail of the run from the measured distribution
-        services = np.concatenate(
-            [measured, rng.choice(measured, n - len(measured))]
-        )
-    else:
-        services = measured
+        idx = np.concatenate([np.arange(n_measured),
+                              rng.choice(n_measured, n - n_measured)])
+        wall, calibrated = wall[idx], calibrated[idx]
+    services = wall + calibrated
     departures = fifo_departures(arrivals, services)
     lat = departures - arrivals
     if rtt is not None:
@@ -141,9 +175,10 @@ def run_engine(
         engine=name,
         rate_hz=rate_hz,
         n_events=n,
-        n_measured=len(measured),
+        n_measured=n_measured,
         percentiles=percentiles_ms(keep),
         mean_service_ms=mean_svc * 1e3,
+        calibrated_ms=float(calibrated.mean()) * 1e3,
         utilization=util,
         # sustainable = the queue drains: utilization below 1 and the last
         # event's wait is not runaway backlog

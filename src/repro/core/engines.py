@@ -1,25 +1,20 @@
 """Flink baselines for the §5.1 latency experiment (Fig 8 / T1).
 
 Railgun itself runs as a :class:`~repro.core.task.TaskProcessor`. The
-baselines share its interface with the latency harness
-(:class:`~repro.bench.harness.Engine`):
-
-- ``process(event) -> answers`` (here a dict ``"{agg}_{field}" -> value|None``;
-  a task processor keys its answers by metric name),
-- ``take_costs() -> (synthetic_us, discount_s)`` — synthetic µs the
-  harness *adds* to the measured service time (costs of hardware we
-  substitute: the framework per-pane overhead here, page-cache reads in
-  the reservoir) and seconds it *subtracts* (work that is asynchronous in
-  the real system: reservoir prefetch).
+baselines share its one method with the latency harness
+(:class:`~repro.bench.harness.Engine`): ``process(event) -> answers``
+(here a dict ``"{agg}_{field}" -> value|None``; a task processor keys its
+answers by metric name). The engines only do the work and count it; the
+calibrated cost of hardware we substitute (Flink's per-pane framework
+overhead, page-cache reads) is added by :mod:`repro.bench`.
 
 Engines:
 
 - :class:`FlinkHoppingEngine` — Flink-style hopping windows: every event
   updates all ``window/hop`` active per-key pane states through the state
   store, panes fire and expire at hop boundaries, and the servable answer
-  is the last *completed* window (Fig 1 semantics). A per-pane framework
-  overhead models Flink's WindowOperator/Trigger/RocksDB path — the §2.2
-  cost argument is precisely that this per-event work is proportional to
+  is the last *completed* window (Fig 1 semantics). ``panes_per_event``
+  is the §2.2 cost argument: this per-event work is proportional to
   ``windowSize/hop``.
 - :class:`FlinkRecomputeEngine` — Flink's published fraud-detection
   pattern [21]: keep raw events in state and recompute the aggregation
@@ -77,7 +72,6 @@ class FlinkHoppingEngine:
         aggs: tuple[str, ...] = ("sum",),
         window_ms: int,
         hop_ms: int,
-        framework_overhead_us_per_pane: float = 8.0,
     ):
         if window_ms % hop_ms:
             raise ValueError("window must be a multiple of the hop")
@@ -87,9 +81,7 @@ class FlinkHoppingEngine:
         self.window_ms = window_ms
         self.hop_ms = hop_ms
         self.panes_per_event = window_ms // hop_ms
-        self.overhead_us = framework_overhead_us_per_pane
         self.store = StateStore()
-        self.synthetic_us = 0.0
         self.watermark: int | None = None
         # window end -> keys with events in [end - w, end) (the equivalent
         # of Flink's per-(key, window) event-time timers)
@@ -119,17 +111,11 @@ class FlinkHoppingEngine:
             pane = self.store.get((k, start), "panes")
             self.store.put((k, start), _pane_update(pane, v), "panes")
             self._pending.setdefault(start + self.window_ms, set()).add(k)
-        self.synthetic_us += self.overhead_us * self.panes_per_event
         # servable answer: the last completed window [b - w, b)
         b = (self.watermark // self.hop_ms) * self.hop_ms
         completed = self.store.get(k, "completed")
         pane = completed[1] if completed is not None and completed[0] == b else None
         return {f"{a}_{self.field}": _pane_value(pane, a) for a in self.aggs}
-
-    def take_costs(self) -> tuple[float, float]:
-        s = self.synthetic_us
-        self.synthetic_us = 0.0
-        return s, 0.0
 
 
 class FlinkRecomputeEngine:
@@ -186,6 +172,3 @@ class FlinkRecomputeEngine:
             else:
                 raise ValueError(f"recompute baseline does not serve {a!r}")
         return out
-
-    def take_costs(self) -> tuple[float, float]:
-        return 0.0, 0.0

@@ -12,7 +12,8 @@ window — exactly the sharing the task plan (§4.1.2) exploits. The paper
 uses JEXL for filter expressions; here filters are a small, safe
 expression language (comparisons on fields, ``and``/``or``/``not``,
 parentheses, numeric/string literals) compiled to a Python predicate over
-the event dict.
+the event dict. A missing field is SQL's NULL: in three-valued logic, an
+event matches only when the expression is true.
 """
 from __future__ import annotations
 
@@ -113,8 +114,18 @@ def _tokenize(text: str) -> list[tuple[str, Any]]:
     return out
 
 
+def _kleene(left, right, dominant: bool):
+    """SQL ``or`` (dominant True) or ``and`` (dominant False) of two nodes."""
+    def node(e):
+        if (a := left(e)) is dominant or (b := right(e)) is dominant:
+            return dominant
+        return None if a is None or b is None else not dominant
+    return node
+
+
 class _FilterParser:
-    """Recursive-descent: or_expr → and_expr → not_expr → cmp → atom."""
+    """Recursive-descent: or_expr → and_expr → not_expr → cmp → atom; each
+    node maps an event to True, False or None (unknown), as in SQL."""
 
     def __init__(self, tokens: list[tuple[str, Any]]):
         self.toks = tokens
@@ -134,29 +145,27 @@ class _FilterParser:
         f = self._or()
         if self.i != len(self.toks):
             raise ValueError(f"trailing tokens: {self.toks[self.i:]}")
-        return f
+        return lambda e: f(e) is True
 
     def _or(self):
         left = self._and()
         while self._peek()[0] == "or":
             self._take()
-            right = self._and()
-            left = (lambda a, b: lambda e: a(e) or b(e))(left, right)
+            left = _kleene(left, self._and(), True)
         return left
 
     def _and(self):
         left = self._not()
         while self._peek()[0] == "and":
             self._take()
-            right = self._not()
-            left = (lambda a, b: lambda e: a(e) and b(e))(left, right)
+            left = _kleene(left, self._not(), False)
         return left
 
     def _not(self):
         if self._peek()[0] == "not":
             self._take()
             inner = self._not()
-            return lambda e: not inner(e)
+            return lambda e: None if (v := inner(e)) is None else not v
         return self._cmp()
 
     def _cmp(self):
@@ -174,13 +183,13 @@ class _FilterParser:
             }[op]
 
             def cmp(e):
-                # an event without the field compares false, as SQL's NULL
+                # a missing operand (an event without the field) is unknown
                 a, b = left(e), right(e)
-                return a is not None and b is not None and ops(a, b)
+                return None if a is None or b is None else ops(a, b)
 
             return cmp
         # bare field/literal used as a boolean
-        return (lambda l: lambda e: bool(l(e)))(left)
+        return (lambda l: lambda e: None if (v := l(e)) is None else bool(v))(left)
 
     def _atom(self):
         kind, val = self._peek()

@@ -20,11 +20,12 @@ only a tiny, window-count-bound set of chunks in memory:
   the chunk it is in, whether open, in transition or sealed: the open
   list is the same object that later becomes the sealed chunk, so an
   iterator keeps it across the seal. When it finishes a chunk it takes
-  the next one from the shared **prefetch cache** if present (an *async*
-  load in the paper — its CPU cost is accounted in ``discount_s`` so the
-  latency harness can keep it off the critical path), otherwise it
+  the next one from the shared **prefetch cache** if present, otherwise it
   performs a *synchronous* demand load (read + decompress on the critical
-  path — exactly the §5.2(b) cache-miss tail-latency story). After moving
+  path — exactly the §5.2(b) cache-miss tail-latency story). The paper
+  prefetches asynchronously; here prefetch runs inline and is part of the
+  measured service (``repro.bench`` calibrates what a load would cost on
+  the paper's hardware from ``demand_loads``). After moving
   into a sealed chunk, the iterator eagerly prefetches the next one; if
   that one was still open, its seal stages it in the cache instead, one
   reservation per iterator holding the chunk before it. The cache is
@@ -53,13 +54,6 @@ from typing import Any
 
 Event = dict  # {'id': ..., 'ts': int epoch-ms, <payload fields>}
 _ts = itemgetter("ts")
-
-# synthetic syscall/page-cache cost of one demand load, µs
-IO_READ_COST_US = 25.0
-# §5.2(b) worst case: when prefetch is defeated, some demand loads miss
-# the OS page cache too and pay a full IO seek. Deterministic model:
-# every IO_SEEK_EVERY-th demand load also pays ``io_seek_cost_us``.
-IO_SEEK_EVERY = 3
 
 
 @dataclass
@@ -226,7 +220,6 @@ class EventReservoir:
         cache_chunks: int = 128,
         out_of_order: str = "drop",  # or "rewrite"
         lateness_ms: int = 0,
-        io_seek_cost_us: float = 0.0,
     ) -> None:
         if out_of_order not in ("drop", "rewrite"):
             raise ValueError("out_of_order must be 'drop' or 'rewrite'")
@@ -235,7 +228,6 @@ class EventReservoir:
         self.chunk_events = chunk_events
         self.out_of_order = out_of_order
         self.lateness_ms = lateness_ms
-        self.io_seek_cost_us = io_seek_cost_us
         self.cache = _PrefetchCache(cache_chunks)
         self.recent_hits = 0  # iterators that kept their chunk across its seal
 
@@ -254,11 +246,7 @@ class EventReservoir:
         self.dropped_dups = 0
         self.demand_loads = 0
         self.prefetch_loads = 0
-        # seconds of CPU spent on prefetch loads this call — asynchronous in
-        # the paper, so the latency harness subtracts it from service time.
-        self.discount_s = 0.0
-        # synthetic syscall/page-cache cost for paid (demand) loads, µs.
-        self.synthetic_us = 0.0
+        self._prefetch_s = 0.0  # time spent in prefetch loads, see take_costs
 
     def _file(self):
         if self._fh is None:
@@ -380,25 +368,20 @@ class EventReservoir:
     def _fetch_sealed(self, chunk_id: int) -> list[Event]:
         """Fetch a sealed chunk for iteration.
 
-        Cache hit → free. Miss → *demand load* on the critical path
-        (+ synthetic page-cache/syscall cost).
+        Cache hit → free. Miss → *demand load* on the critical path.
         """
         events = self.cache.take(chunk_id)
         if events is None:
             self.demand_loads += 1
-            self.synthetic_us += IO_READ_COST_US
-            if self.demand_loads % IO_SEEK_EVERY == 0:
-                self.synthetic_us += self.io_seek_cost_us
             events = self._load_sealed(chunk_id)
         return events
 
     def _prefetch(self, chunk_id: int) -> bool:
-        """Asynchronously stage a chunk for its next reader.
+        """Stage a chunk for its next reader, inline (async in the paper).
 
         If another iterator already staged it, just add a reservation —
-        the loaded copy serves every reader (shared cache). The CPU time
-        goes to ``discount_s``: prefetching is off the critical path.
-        Returns whether a reservation was made (False: not sealed yet).
+        the loaded copy serves every reader (shared cache). Returns
+        whether a reservation was made (False: not sealed yet).
         """
         if chunk_id >= len(self._index):
             return False
@@ -407,7 +390,7 @@ class EventReservoir:
         t0 = time.perf_counter()
         self.cache.put(chunk_id, self._load_sealed(chunk_id))
         self.prefetch_loads += 1
-        self.discount_s += time.perf_counter() - t0
+        self._prefetch_s += time.perf_counter() - t0
         return True
 
     def iterator(self) -> ReservoirIterator:
@@ -425,10 +408,10 @@ class EventReservoir:
         self.cache.evictions = 0
 
     def take_costs(self) -> tuple[float, float]:
-        """Return and reset (synthetic_us, discount_s) for the harness."""
-        s, d = self.synthetic_us, self.discount_s
-        self.synthetic_us, self.discount_s = 0.0, 0.0
-        return s, d
+        """Return and reset ``(0.0, seconds in prefetch loads)`` since the
+        last call; external tracers read ``[1]``."""
+        s, self._prefetch_s = self._prefetch_s, 0.0
+        return 0.0, s
 
     def memory_events(self) -> int:
         """Events held in memory, counting each in-memory chunk once.

@@ -79,7 +79,6 @@ class TaskProcessor:
     def warm_up(self, now_ts: int) -> None:
         """Advance the plan over prefilled history in one batched pass."""
         self.plan.advance(now_ts)
-        self.take_costs()  # warm-up cost is not part of steady-state latency
 
     def warm_start(self, history, now_ts: int) -> None:
         """Vectorized checkpoint load (§5.2 methodology).
@@ -116,10 +115,6 @@ class TaskProcessor:
         self._position_iterators(now_ts)
 
     # -- accounting ------------------------------------------------------------
-
-    def take_costs(self) -> tuple[float, float]:
-        """(synthetic_us, discount_s) accrued since last call (see bench)."""
-        return self.reservoir.take_costs()
 
     def stats(self) -> dict[str, Any]:
         r = self.reservoir
@@ -188,7 +183,6 @@ class TaskProcessor:
             wnode.head.seek_after(hi)
             if wnode.tail is not None:
                 wnode.tail.seek_after(lo)
-        self.take_costs()
 
     def close(self) -> None:
         self.reservoir.close()

@@ -1,8 +1,12 @@
 """Tests for the virtual-time latency machinery (queueing + harness)."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.bench.harness import KafkaRTTModel, measure_services, run_engine
+from repro.bench.harness import (
+    IO_READ_COST_US, KafkaRTTModel, io_cost_us, measure_services, run_engine,
+)
 from repro.bench.queueing import fifo_departures, percentiles_ms, staged_departures
 
 
@@ -78,23 +82,10 @@ def test_percentiles_ms():
 
 
 class _FixedEngine:
-    """Deterministic engine: constant python work + synthetic ledger."""
-
-    def __init__(self, synthetic_us=0.0, discount_frac=0.0):
-        self.synthetic_us = synthetic_us
-        self.discount_frac = discount_frac
-        self._last = 0.0
+    """Deterministic engine: constant python work."""
 
     def process(self, event):
-        import time
-
-        t0 = time.perf_counter()
-        x = sum(i for i in range(200))
-        self._last = time.perf_counter() - t0
-        return {"x": x}
-
-    def take_costs(self):
-        return self.synthetic_us, self._last * self.discount_frac
+        return {"x": sum(i for i in range(200))}
 
 
 def _events(n, rate_hz):
@@ -109,24 +100,41 @@ def test_run_engine_sustainable_fast_engine():
 
 
 def test_run_engine_synthetic_cost_dominates():
-    """Synthetic µs are added to measured service time."""
+    """Calibrated µs are added to measured service time."""
     slow = run_engine(
-        _FixedEngine(synthetic_us=50_000), "slow", _events(500, 100.0),
-        rate_hz=100.0,
+        _FixedEngine(), "slow", _events(500, 100.0), rate_hz=100.0,
+        calibrated_us=lambda: 50_000,
     )
     assert not slow.sustainable  # 50ms service at 10ms budget
     assert slow.utilization > 1.0
     assert slow.percentiles["p99.9"] > 1000  # backlog blow-up
 
 
-def test_run_engine_discount_subtracts_async_work():
-    with_discount = run_engine(
-        _FixedEngine(discount_frac=1.0), "d", _events(500, 100.0), rate_hz=100.0
+def test_row_reports_calibrated_ms_in_its_own_column():
+    res = run_engine(
+        _FixedEngine(), "cal", _events(200, 100.0), rate_hz=100.0,
+        max_measured=50, calibrated_us=lambda: 2_000,
     )
-    without = run_engine(
-        _FixedEngine(), "nd", _events(500, 100.0), rate_hz=100.0
-    )
-    assert with_discount.mean_service_ms <= without.mean_service_ms
+    row = res.row()
+    assert row["calibrated_ms"] == pytest.approx(2.0)
+    assert 2.0 < row["mean_service_ms"] < 3.0  # wall time + calibrated
+    plain = run_engine(_FixedEngine(), "wall", _events(200, 100.0), rate_hz=100.0)
+    assert plain.row()["calibrated_ms"] == 0.0
+
+
+def test_io_cost_us_charges_reads_and_every_third_seek():
+    r = SimpleNamespace(demand_loads=4)  # loads made before are not charged
+    cost = io_cost_us(r, seek_us=1_000.0)
+    assert cost() == 0.0
+    charged = []
+    for _ in range(6):  # loads 5..10: 6 and 9 pay the seek
+        r.demand_loads += 1
+        charged.append(cost())
+    read = IO_READ_COST_US
+    assert charged == [read, read + 1_000, read, read, read + 1_000, read]
+    r.demand_loads += 3  # three loads in one event: 11, 12 (seek), 13
+    assert cost() == 3 * read + 1_000
+    assert io_cost_us(r)() == 0.0  # seek_us defaults to 0
 
 
 def test_run_engine_bootstrap_tail():
@@ -158,6 +166,7 @@ def test_rtt_model_deterministic_given_seed():
 
 def test_measure_services_counts():
     eng = _FixedEngine()
-    out = measure_services(eng, _events(50, 100.0), n_measure=20)
-    assert len(out) == 20
-    assert (out >= 0).all()
+    wall, calibrated = measure_services(eng, _events(50, 100.0), n_measure=20)
+    assert len(wall) == len(calibrated) == 20
+    assert (wall >= 0).all()
+    assert (calibrated == 0).all()

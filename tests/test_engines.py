@@ -11,6 +11,7 @@ import math
 import pytest
 
 from repro import synth_data
+from repro.bench.fig8 import FLINK_PANE_OVERHEAD_US, pane_overhead_us
 from repro.core.engines import FlinkHoppingEngine, FlinkRecomputeEngine
 import pandas as pd
 
@@ -128,17 +129,15 @@ def test_flink_recompute_engine_matches_sliding_reference(stream):
 
 
 def test_hopping_engine_synthetic_costs_scale_with_pane_count():
-    """§2.2's cost argument, as the harness sees it: per-event synthetic
-    cost is proportional to windowSize/hop."""
-    ev = {"id": 0, "ts": 3_600_000, "card_id": 1, "amount": 1.0}
+    """§2.2's cost argument, as the T1 harness sees it: the calibrated
+    per-event cost is proportional to windowSize/hop."""
     costs = {}
     for hop in (60, 10, 1):
         eng = FlinkHoppingEngine(
             aggs=("sum",), window_ms=60 * MINUTE, hop_ms=hop * SECOND,
-            framework_overhead_us_per_pane=8.0,
         )
-        eng.process(dict(ev))
-        costs[hop], _ = eng.take_costs()
+        costs[hop] = pane_overhead_us(eng)()
+    assert costs[60] == 60 * FLINK_PANE_OVERHEAD_US
     assert costs[10] > 5 * costs[60]
     assert costs[1] > 5 * costs[10]
 

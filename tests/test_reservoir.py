@@ -1,7 +1,7 @@
 """Tests for the event reservoir (paper §4.1.1)."""
 import pytest
 
-from repro.core.reservoir import IO_READ_COST_US, EventReservoir
+from repro.core.reservoir import EventReservoir
 
 
 def _ev(i, ts=None, **extra):
@@ -351,7 +351,6 @@ def test_costs_accounting(tmp_path):
     it = r.iterator()
     sink = []
     it.advance_until(10**9, sink)
-    syn, disc = r.take_costs()
-    assert syn == pytest.approx(IO_READ_COST_US)  # one demand load
-    assert disc > 0  # prefetch CPU time was accounted for discounting
+    assert r.demand_loads == 1  # the first chunk; the rest were prefetched
+    assert r.take_costs()[1] > 0  # prefetch time, the reading tracers take
     assert r.take_costs() == (0.0, 0.0)  # reset

@@ -1,5 +1,7 @@
 """Tests for window specs (§2/§3.4) and the Fig-4 query language parser."""
+import duckdb
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.language import compile_filter, parse_statement
 from repro.core.windows import DAY, HOUR, MINUTE, SECOND, WindowSpec, parse_duration
@@ -168,6 +170,10 @@ def test_metric_names_are_descriptive():
         ("1 <= fee", {"fee": None}, False),
         ("fee > 1 or amount > 1", {"amount": 5}, True),
         ("fee", {"amount": 5}, False),
+        # ...and so does its negation: NOT of unknown is unknown (SQL NULL)
+        ("not (fee > 1)", {"amount": 5}, False),
+        ("not (fee <= 1)", {"amount": 5}, False),
+        ("not (fee > 1 and amount > 10)", {"amount": 5}, True),
     ],
 )
 def test_filter_expressions(expr, event, expected):
@@ -184,3 +190,38 @@ def test_filter_rejects_garbage():
         compile_filter("amount >")
     with pytest.raises(ValueError):
         compile_filter("amount ~ 3")
+
+
+_operand = st.one_of(st.sampled_from(["a", "b"]), st.integers(-2, 2).map(str))
+_comparison = st.builds(
+    lambda l, op, r: f"({l} {op} {r})",
+    _operand, st.sampled_from(["==", "!=", "<", "<=", ">", ">="]), _operand,
+)
+_expression = st.recursive(
+    _comparison,
+    lambda inner: st.one_of(
+        inner.map(lambda x: f"(not {x})"),
+        st.builds(lambda x, op, y: f"({x} {op} {y})",
+                  inner, st.sampled_from(["and", "or"]), inner),
+    ),
+    max_leaves=6,
+)
+_field = st.one_of(st.none(), st.integers(-2, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_expression, st.lists(st.tuples(_field, _field), min_size=1, max_size=8))
+def test_filter_matches_duckdb_where_with_nulls(expr, rows):
+    """A filter matches exactly the rows DuckDB's ``WHERE`` keeps, a
+    missing field being NULL (three-valued logic)."""
+    events = [{"id": i, **{k: v for k, v in zip("ab", row) if v is not None}}
+              for i, row in enumerate(rows)]
+    values = ", ".join(
+        f"({i}, {'NULL' if a is None else a}, {'NULL' if b is None else b})"
+        for i, (a, b) in enumerate(rows)
+    )
+    sql = (f"SELECT id FROM (VALUES {values}) t(id, a, b) "
+           f"WHERE {expr} ORDER BY id")
+    expected = [r[0] for r in duckdb.sql(sql).fetchall()]
+    f = compile_filter(expr)
+    assert [e["id"] for e in events if f(e)] == expected

@@ -18,9 +18,10 @@ engine (see DESIGN.md §2 — we cannot rent 50 AWS nodes):
   (shared-nothing, single-threaded — §3.2);
 - stage 3: reply brokers;
 - unit service times resample the *shape* of real measured service times
-  of our task processor, scaled so a node's capacity matches the paper's
-  measured 25 k ev/s per node, plus a rare GC-pause component (the
-  paper's own diagnosis); per-unit service degrades mildly once the
+  of our task processor (timed on the host at each run, so the table is
+  not deterministic even though the arrivals are seeded), scaled so a
+  node's capacity matches the paper's measured 25 k ev/s per node, plus
+  a rare GC-pause component (the paper's own diagnosis); per-unit service degrades mildly once the
   cluster exceeds ~240 partitions (the paper's >30-node erosion);
 - latency = reply departure − scheduled arrival (+ the same Kafka RTT
   noise as T1–T3), coordination-omission-corrected by construction.
@@ -172,8 +173,9 @@ def calibrate_unit_service(data_dir: str, n_events: int = 3_000, seed: int = 5) 
     """Measure real per-event service times of a task processor.
 
     The §5.3 workload: sum, avg and count of amount by card over a 5-min
-    sliding window. Returns per-event seconds (shape source): measured
-    wall time plus the calibrated IO of any demand load.
+    sliding window. Returns per-event seconds (shape source): wall time
+    measured on this host plus the calibrated IO of any demand load, so
+    the shape, and T4's tail, vary between hosts and runs.
     """
     from .. import synth_data
     from ..core.task import TaskProcessor

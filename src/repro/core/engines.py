@@ -11,9 +11,10 @@ overhead, page-cache reads) is added by :mod:`repro.bench`.
 Engines:
 
 - :class:`FlinkHoppingEngine` — Flink-style hopping windows: every event
-  updates all ``window/hop`` active per-key pane states through the state
-  store, panes fire and expire at hop boundaries, and the servable answer
-  is the last *completed* window (Fig 1 semantics). ``panes_per_event``
+  updates all ``window/hop`` active per-key panes, each a list of
+  :mod:`~repro.core.aggregators` states, through the state store; panes
+  fire and expire at hop boundaries, and the servable answer is the last
+  *completed* window (Fig 1 semantics). ``panes_per_event``
   is the §2.2 cost argument: this per-event work is proportional to
   ``windowSize/hop``.
 - :class:`FlinkRecomputeEngine` — Flink's published fraud-detection
@@ -25,40 +26,10 @@ from __future__ import annotations
 
 from typing import Any
 
+from .aggregators import aggregator
 from .statestore import StateStore
 
 Event = dict
-
-
-def _pane_update(pane: dict[str, Any] | None, v: float) -> dict:
-    """Accumulate one value into a pane's per-aggregation accumulators.
-
-    Hopping panes never evict (that is their whole memory advantage), so
-    plain accumulators suffice.
-    """
-    if pane is None:
-        pane = {"n": 0, "sum": 0.0, "min": None, "max": None}
-    pane["n"] += 1
-    pane["sum"] += v
-    pane["min"] = v if pane["min"] is None else min(pane["min"], v)
-    pane["max"] = v if pane["max"] is None else max(pane["max"], v)
-    return pane
-
-
-def _pane_value(pane: dict[str, Any] | None, agg: str) -> float | None:
-    if agg == "count":
-        return float(pane["n"]) if pane is not None else 0.0
-    if pane is None or pane["n"] == 0:
-        return None
-    if agg == "sum":
-        return pane["sum"]
-    if agg == "avg":
-        return pane["sum"] / pane["n"]
-    if agg == "min":
-        return pane["min"]
-    if agg == "max":
-        return pane["max"]
-    raise ValueError(f"hopping baseline does not serve {agg!r}")
 
 
 class FlinkHoppingEngine:
@@ -78,6 +49,7 @@ class FlinkHoppingEngine:
         self.key = key
         self.field = field
         self.aggs = aggs
+        self._aggregators = [aggregator(a) for a in aggs]
         self.window_ms = window_ms
         self.hop_ms = hop_ms
         self.panes_per_event = window_ms // hop_ms
@@ -86,6 +58,10 @@ class FlinkHoppingEngine:
         # window end -> keys with events in [end - w, end) (the equivalent
         # of Flink's per-(key, window) event-time timers)
         self._pending: dict[int, set] = {}
+
+    def _new_pane(self) -> list:
+        """One aggregation state per ``aggs`` entry; panes never evict."""
+        return [agg.new() for agg in self._aggregators]
 
     def _fire(self, watermark: int) -> None:
         """Fire every window whose end has passed: publish + purge panes."""
@@ -108,18 +84,27 @@ class FlinkHoppingEngine:
         first = ((ts - self.window_ms) // self.hop_ms + 1) * self.hop_ms
         last = (ts // self.hop_ms) * self.hop_ms
         for start in range(first, last + self.hop_ms, self.hop_ms):
-            pane = self.store.get((k, start), "panes")
-            self.store.put((k, start), _pane_update(pane, v), "panes")
+            pane = self.store.get((k, start), "panes") or self._new_pane()
+            for agg, st in zip(self._aggregators, pane):
+                agg.add(st, ts, v)
+            self.store.put((k, start), pane, "panes")
             self._pending.setdefault(start + self.window_ms, set()).add(k)
         # servable answer: the last completed window [b - w, b)
         b = (self.watermark // self.hop_ms) * self.hop_ms
         completed = self.store.get(k, "completed")
-        pane = completed[1] if completed is not None and completed[0] == b else None
-        return {f"{a}_{self.field}": _pane_value(pane, a) for a in self.aggs}
+        pane = completed[1] if completed is not None and completed[0] == b else self._new_pane()
+        return {f"{a}_{self.field}": agg.value(st)
+                for a, agg, st in zip(self.aggs, self._aggregators, pane)}
 
 
 class FlinkRecomputeEngine:
-    """Flink's custom fraud pattern [21]: store raw events, rescan per event."""
+    """Flink's custom fraud pattern [21]: store raw events, rescan per event.
+
+    The rescan uses the builtin ``sum``/``min``/``max``, not the
+    :mod:`~repro.core.aggregators` fold: their C-speed pass over the
+    window is the baseline's measured T1 cost, which a Python fold per
+    stored event would multiply.
+    """
 
     def __init__(
         self,

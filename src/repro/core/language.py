@@ -9,14 +9,18 @@ Statements look like::
 
 Multiple aggregations per statement share the stream, filter, group-by and
 window — exactly the sharing the task plan (§4.1.2) exploits. The paper
-uses JEXL for filter expressions; here filters are a small, safe
-expression language (comparisons on fields, ``and``/``or``/``not``,
-parentheses, numeric/string literals) compiled to a Python predicate over
-the event dict. A missing field is SQL's NULL: in three-valued logic, an
-event matches only when the expression is true.
+uses JEXL for filter expressions; here a filter is a restricted Python
+expression: one comparison (``== != < <= > >=``) at a time on fields and
+int, float or str literals, ``and``/``or``/``not`` in any case, and
+parentheses. :func:`ast.parse` reads it and a whitelist walk compiles it
+into a predicate over the event dict; nothing is evaluated as Python. A
+missing field is SQL's NULL: in three-valued logic, an event matches only
+when the expression is true.
 """
 from __future__ import annotations
 
+import ast
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -85,131 +89,77 @@ def _parse_window(text: str) -> WindowSpec:
     raise ValueError(f"unknown window expression {text!r}")
 
 
-# --- tiny filter expression language -------------------------------------
+# --- filter expressions: a restricted Python expression -----------------
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>-?\d+(?:\.\d+)?)|(?P<str>'[^']*'|\"[^\"]*\")"
-    r"|(?P<op><=|>=|==|!=|<|>)|(?P<lp>\()|(?P<rp>\))"
-    r"|(?P<word>\w+))"
+# A string literal (kept as written), a keyword in any case (lower-cased)
+# or a whitespace run (one space, so no line break reaches the parser).
+_LITERAL_KEYWORD_SPACE = re.compile(
+    r"('''(?:\\.|[^\\])*?'''" r'|"""(?:\\.|[^\\])*?"""'
+    r"|'(?:\\.|[^'\\])*'" r'|"(?:\\.|[^"\\])*")'
+    r"|\b(and|or|not)\b|\s+",
+    re.IGNORECASE | re.DOTALL,
 )
+_COMPARE = {
+    ast.Eq: operator.eq, ast.NotEq: operator.ne, ast.Lt: operator.lt,
+    ast.LtE: operator.le, ast.Gt: operator.gt, ast.GtE: operator.ge,
+}
 
 
-def _tokenize(text: str) -> list[tuple[str, Any]]:
-    out, i = [], 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if not m or m.end() == i:
-            raise ValueError(f"bad filter expression at {text[i:]!r}")
-        i = m.end()
-        kind = m.lastgroup
-        val = m.group(kind)
-        if kind == "num":
-            out.append(("lit", float(val) if "." in val else int(val)))
-        elif kind == "str":
-            out.append(("lit", val[1:-1]))
-        elif kind == "word" and val.lower() in ("and", "or", "not"):
-            out.append((val.lower(), val))
-        else:
-            out.append((kind, val))
-    return out
-
-
-def _kleene(left, right, dominant: bool):
-    """SQL ``or`` (dominant True) or ``and`` (dominant False) of two nodes."""
+def _kleene(terms, dominant: bool):
+    """SQL ``or`` (dominant True) or ``and`` (dominant False) of its terms."""
     def node(e):
-        if (a := left(e)) is dominant or (b := right(e)) is dominant:
-            return dominant
-        return None if a is None or b is None else not dominant
+        result = not dominant
+        for term in terms:
+            if (v := term(e)) is dominant:
+                return dominant
+            if v is None:
+                result = None
+        return result
     return node
 
 
-class _FilterParser:
-    """Recursive-descent: or_expr → and_expr → not_expr → cmp → atom; each
-    node maps an event to True, False or None (unknown), as in SQL."""
+def _operand(node: ast.expr) -> Callable[[dict], Any]:
+    """A field (None when the event lacks it), or an int, float, str or -number."""
+    if isinstance(node, ast.Name):
+        return lambda e, f=node.id: e.get(f)
+    negated = isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+    lit = node.operand if negated else node
+    kinds = (int, float) if negated else (int, float, str)
+    if isinstance(lit, ast.Constant) and type(lit.value) in kinds:
+        value = -lit.value if negated else lit.value
+        return lambda e: value
+    raise ValueError(f"unsupported filter term {ast.unparse(node)!r}")
 
-    def __init__(self, tokens: list[tuple[str, Any]]):
-        self.toks = tokens
-        self.i = 0
 
-    def _peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, None)
-
-    def _take(self, kind: str | None = None):
-        tok = self._peek()
-        if kind and tok[0] != kind:
-            raise ValueError(f"expected {kind}, got {tok}")
-        self.i += 1
-        return tok
-
-    def parse(self) -> Callable[[dict], bool]:
-        f = self._or()
-        if self.i != len(self.toks):
-            raise ValueError(f"trailing tokens: {self.toks[self.i:]}")
-        return lambda e: f(e) is True
-
-    def _or(self):
-        left = self._and()
-        while self._peek()[0] == "or":
-            self._take()
-            left = _kleene(left, self._and(), True)
-        return left
-
-    def _and(self):
-        left = self._not()
-        while self._peek()[0] == "and":
-            self._take()
-            left = _kleene(left, self._not(), False)
-        return left
-
-    def _not(self):
-        if self._peek()[0] == "not":
-            self._take()
-            inner = self._not()
-            return lambda e: None if (v := inner(e)) is None else not v
-        return self._cmp()
-
-    def _cmp(self):
-        left = self._atom()
-        if self._peek()[0] == "op":
-            op = self._take()[1]
-            right = self._atom()
-            ops = {
-                "==": lambda a, b: a == b,
-                "!=": lambda a, b: a != b,
-                "<": lambda a, b: a < b,
-                "<=": lambda a, b: a <= b,
-                ">": lambda a, b: a > b,
-                ">=": lambda a, b: a >= b,
-            }[op]
-
-            def cmp(e):
-                # a missing operand (an event without the field) is unknown
-                a, b = left(e), right(e)
-                return None if a is None or b is None else ops(a, b)
-
-            return cmp
-        # bare field/literal used as a boolean
-        return (lambda l: lambda e: None if (v := l(e)) is None else bool(v))(left)
-
-    def _atom(self):
-        kind, val = self._peek()
-        if kind == "lp":
-            self._take()
-            inner = self._or()
-            self._take("rp")
-            return inner
-        if kind == "lit":
-            self._take()
-            return lambda e, v=val: v
-        if kind == "word":
-            self._take()
-            return lambda e, f=val: e.get(f)
-        raise ValueError(f"unexpected token {self._peek()}")
+def _predicate(node: ast.expr) -> Callable[[dict], bool | None]:
+    """Whitelist walk: a closure giving True, False or None (SQL unknown)."""
+    if isinstance(node, ast.BoolOp):
+        return _kleene([_predicate(v) for v in node.values], isinstance(node.op, ast.Or))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        inner = _predicate(node.operand)
+        return lambda e: None if (v := inner(e)) is None else not v
+    if isinstance(node, ast.Compare):
+        if len(node.ops) != 1 or type(node.ops[0]) not in _COMPARE:
+            raise ValueError(f"unsupported comparison {ast.unparse(node)!r}")
+        op = _COMPARE[type(node.ops[0])]
+        left, right = _operand(node.left), _operand(node.comparators[0])
+        # a missing operand (an event without the field) is unknown
+        return lambda e: (None if (a := left(e)) is None or (b := right(e)) is None
+                          else op(a, b))
+    # bare field/literal used as a boolean
+    value = _operand(node)
+    return lambda e: None if (v := value(e)) is None else bool(v)
 
 
 def compile_filter(expr: str) -> Callable[[dict], bool]:
-    """Compile a filter expression into a predicate over an event dict."""
-    return _FilterParser(_tokenize(expr)).parse()
+    """Compile a filter expression into a predicate over an event dict;
+    raise ``ValueError`` on any text outside the grammar."""
+    text = _LITERAL_KEYWORD_SPACE.sub(lambda m: m[1] or (m[2] or " ").lower(), expr.strip())
+    try:
+        pred = _predicate(ast.parse(text, mode="eval").body)
+    except (SyntaxError, RecursionError) as exc:
+        raise ValueError(f"bad filter expression {expr!r}: {exc}") from None
+    return lambda e: pred(e) is True
 
 
 def parse_statement(sql: str) -> Statement:

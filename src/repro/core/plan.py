@@ -13,7 +13,7 @@ the answer reuses the record just written.
 
 Iterator sharing (§4.1.1 / Fig 5): window heads are keyed by the window's
 delay (two sliding windows with the same delay share the head iterator
-regardless of size); tails are keyed by (kind, size, delay). §5.2(b)
+regardless of size); each finite window has its own tail. §5.2(b)
 forces misalignment through distinct sizes *and* delays, giving
 2 × #windows iterators.
 """
@@ -173,23 +173,20 @@ class TaskPlan:
         self.windows: dict[WindowSpec, WindowNode] = {}
         self.leaves: list[AggregatorLeaf] = []
         self.groupbys: list[GroupByNode] = []
-        heads: dict[int, ReservoirIterator] = {}
-        tails: dict[tuple, ReservoirIterator] = {}
+        # Windows with the same delay share a head iterator; advance each
+        # unique head once per event and fan its arrivals out.
+        self._head_groups: dict[int, tuple[ReservoirIterator, list[WindowNode]]] = {}
         for stmt in statements:
             for metric in stmt.metrics:
                 spec = metric.window
                 wnode = self.windows.get(spec)
                 if wnode is None:
-                    head = heads.get(spec.delay_ms)
-                    if head is None:
-                        head = heads[spec.delay_ms] = reservoir.iterator()
-                    tail = None
-                    if spec.kind != "infinite":
-                        tkey = (spec.kind, spec.size_ms, spec.delay_ms)
-                        tail = tails.get(tkey)
-                        if tail is None:
-                            tail = tails[tkey] = reservoir.iterator()
-                    wnode = self.windows[spec] = WindowNode(spec, head, tail)
+                    group = self._head_groups.get(spec.delay_ms)
+                    if group is None:
+                        group = self._head_groups[spec.delay_ms] = (reservoir.iterator(), [])
+                    tail = None if spec.kind == "infinite" else reservoir.iterator()
+                    wnode = self.windows[spec] = WindowNode(spec, group[0], tail)
+                    group[1].append(wnode)
                 fnode = wnode.filters.get(metric.filter_sql)
                 if fnode is None:
                     fnode = wnode.filters[metric.filter_sql] = FilterNode(stmt.filter)
@@ -201,17 +198,12 @@ class TaskPlan:
                 leaf = AggregatorLeaf(metric, len(self.leaves), store)
                 gbnode.add_leaf(leaf)
                 self.leaves.append(leaf)
-        self._iterators = set(heads.values()) | set(tails.values())
-        # Windows with the same delay share a head iterator; advance each
-        # unique head once per event and fan its arrivals out.
-        self._head_groups: dict[int, tuple[ReservoirIterator, list[WindowNode]]] = {}
-        for spec, wnode in self.windows.items():
-            self._head_groups.setdefault(spec.delay_ms, (wnode.head, []))[1].append(wnode)
 
     @property
     def iterator_count(self) -> int:
         """Unique reservoir iterators (the §5.2(b) x-axis)."""
-        return len(self._iterators)
+        return len(self._head_groups) + sum(
+            w.tail is not None for w in self.windows.values())
 
     def advance(self, t_eval: int) -> None:
         """Bring every window to its bounds at ``t_eval``: each then holds

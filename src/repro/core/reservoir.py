@@ -11,8 +11,10 @@ only a tiny, window-count-bound set of chunks in memory:
   column-wise as one ``{field: column}`` dict over the sorted union of its
   events' keys, zlib-compressed, and appended to the reservoir's one
   append-only file. A chunk describes itself, so it decodes after the
-  event schema changes with no state outside it; a field an event lacked
-  reads back as ``None`` when another event of its chunk has it.
+  event schema changes with no state outside it. When some event lacks
+  a field of the union, the chunk also lists the rows without each such
+  field, so every event reads back with exactly the keys it was stored
+  with (a stored ``None`` stays a present ``None``).
 - An in-memory index of ``(first_ts, last_ts, offset, length)`` per sealed
   chunk, in chunk order, supports random reads (needed when a new
   window/metric is added).
@@ -339,7 +341,12 @@ class EventReservoir:
         assert chunk_id == len(self._index), "chunks seal in order"
         fields = sorted(set().union(*(e.keys() for e in events)))
         cols = {f: [e.get(f) for e in events] for f in fields}
-        blob = zlib.compress(pickle.dumps(cols, protocol=pickle.HIGHEST_PROTOCOL), 6)
+        missing = {}  # field -> rows without it, when not every row has every field
+        if sum(map(len, events)) != len(fields) * len(events):
+            missing = {f: rows for f in fields
+                       if (rows := [i for i, e in enumerate(events) if f not in e])}
+        blob = zlib.compress(
+            pickle.dumps((cols, missing), protocol=pickle.HIGHEST_PROTOCOL), 6)
         fh = self._file()
         offset = fh.seek(0, os.SEEK_END)
         fh.write(blob)
@@ -362,8 +369,12 @@ class EventReservoir:
     def _load_sealed(self, chunk_id: int) -> list[Event]:
         ref = self._index[chunk_id]
         blob = os.pread(self._file().fileno(), ref.length, ref.offset)
-        cols = pickle.loads(zlib.decompress(blob))
-        return [dict(zip(cols, row)) for row in zip(*cols.values())]
+        cols, missing = pickle.loads(zlib.decompress(blob))
+        events = [dict(zip(cols, row)) for row in zip(*cols.values())]
+        for f, rows in missing.items():
+            for i in rows:
+                del events[i][f]
+        return events
 
     def _fetch_sealed(self, chunk_id: int) -> list[Event]:
         """Fetch a sealed chunk for iteration.

@@ -174,7 +174,7 @@ class RailgunCluster:
         """
         for uid, u in self.units.items():
             if uid != exclude and u.alive and task in u.task_processors:
-                return u.checkpoint_task(task)
+                return u.task_processors[task].checkpoint()
         return None
 
     # -- client path ----------------------------------------------------------------

@@ -72,7 +72,6 @@ class ProcessorUnit:
         self.active: set[Task] = set()
         self.replica: set[Task] = set()
         self.task_processors: dict[Task, TaskProcessor] = {}
-        self._pos: dict[Task, int] = {}  # next offset to fetch per task
         self.alive = True
 
     # -- assignment ---------------------------------------------------------
@@ -99,15 +98,11 @@ class ProcessorUnit:
                 recovery_ckpt, statements, self._task_dir(task),
                 reservoir_kwargs=dict(self.reservoir_kwargs),
             )
-            self._pos[task] = (
-                0 if tp.last_offset is None else tp.last_offset + 1
-            )
         else:
             tp = TaskProcessor(
                 f"{task[0]}-{task[1]}", statements, self._task_dir(task),
                 reservoir_kwargs=dict(self.reservoir_kwargs),
             )
-            self._pos[task] = 0
         self.task_processors[task] = tp
 
     # -- Algorithm 1 ----------------------------------------------------------
@@ -123,8 +118,8 @@ class ProcessorUnit:
             if tp is None:
                 continue
             topic, p = task
-            for rec in self.kafka.fetch(topic, p, self._pos[task], max_records):
-                self._pos[task] = rec.offset + 1
+            start = 0 if tp.last_offset is None else tp.last_offset + 1
+            for rec in self.kafka.fetch(topic, p, start, max_records):
                 answers = tp.process(rec.value, offset=rec.offset)
                 n += 1
                 if task in self.active:
@@ -135,6 +130,3 @@ class ProcessorUnit:
                                "answers": answers},
                     )
         return n
-
-    def checkpoint_task(self, task: Task) -> dict:
-        return self.task_processors[task].checkpoint()

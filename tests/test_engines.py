@@ -95,7 +95,7 @@ def test_railgun_engine_long_window_equals_short_on_shared_head(tmp_path, stream
 @pytest.mark.parametrize("hop_ms", [MINUTE, 15 * SECOND])
 def test_flink_hopping_engine_matches_reference(stream, hop_ms):
     pdf, events = stream
-    aggs = ("sum", "count")
+    aggs = ("sum", "count", "avg", "min", "max")
     eng = FlinkHoppingEngine(aggs=aggs, window_ms=5 * MINUTE, hop_ms=hop_ms)
     ref = _per_card(pdf, aggs, hopping_bounds(5 * MINUTE, hop_ms))
     _check_engine(eng, events, ref, aggs)

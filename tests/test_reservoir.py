@@ -328,6 +328,34 @@ def test_schema_evolution_roundtrip(tmp_path):
         assert res.demand_loads == 1  # chunk 0 came from disk, the rest prefetched
 
 
+def test_sealed_events_read_back_with_their_own_keys(tmp_path):
+    """An event reads back with exactly the keys it was appended with,
+    whatever its chunk-mates hold; a stored None stays a present None."""
+    events = [
+        {"id": 0, "ts": 0, "v": 1.0},
+        {"id": 1, "ts": 10, "w": 2.0},
+        {"id": 2, "ts": 20, "v": None},
+        {"id": 3, "ts": 30, "v": 3.0, "w": None},
+        {"id": 4, "ts": 40},
+        {"id": 5, "ts": 50, "x": "a"},
+        {"id": 6, "ts": 60, "v": 6.0},
+        {"id": 7, "ts": 70, "v": None, "x": None},
+        *({"id": i, "ts": i * 10, "v": float(i)} for i in range(8, 12)),
+        {"id": 12, "ts": 120, "w": 12.0},
+    ]
+    r = make(tmp_path, chunk_events=4)
+    for e in events:
+        r.append(dict(e))
+    meta = r.checkpoint()
+    assert r.sealed_chunks() == 4
+    r2 = make(tmp_path, chunk_events=4)
+    r2.load(meta)
+    for res in (r, r2):
+        out = []
+        res.iterator().advance_until(10**9, out)
+        assert out == events
+
+
 # -- checkpoint / restore -----------------------------------------------------------
 
 def test_checkpoint_restore_roundtrip(tmp_path):

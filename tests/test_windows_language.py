@@ -174,6 +174,17 @@ def test_metric_names_are_descriptive():
         ("not (fee > 1)", {"amount": 5}, False),
         ("not (fee <= 1)", {"amount": 5}, False),
         ("not (fee > 1 and amount > 10)", {"amount": 5}, True),
+        # keywords in any case, but a string literal is kept as written
+        ("a == 1 AND b == 2", {"a": 1, "b": 2}, True),
+        ("a == 1 Or b == 2", {"a": 0, "b": 2}, True),
+        ("NOT (amount > 100)", {"amount": 101}, False),
+        ("status == 'AND'", {"status": "AND"}, True),
+        ("status == \"NOT or\"", {"status": "NOT or"}, True),
+        ("status == 'and'", {"status": "AND"}, False),
+        ("a > -2 and b <= 2.5", {"a": -1, "b": 2.5}, True),
+        # whitespace, line breaks included, separates tokens as before
+        ("  amount > 100\n    AND status == 'a  b'", {"amount": 101, "status": "a  b"}, True),
+        pytest.param("a and " * 3000 + "a", {"a": 1}, True, id="3000-term-and"),
     ],
 )
 def test_filter_expressions(expr, event, expected):
@@ -190,6 +201,39 @@ def test_filter_rejects_garbage():
         compile_filter("amount >")
     with pytest.raises(ValueError):
         compile_filter("amount ~ 3")
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "f(a) > 1", "a.b > 1", "a[0] > 1", "a in b", "a not in b", "a is b",
+        "1 < a < 2", "f'{a}' == 'x'", "a == True", "a == None", "a == -'x'",
+        "-a > 1", "a + 1 > 2", "a == 1j", "a == b'x'", "lambda: 1", "a if b else c",
+        "[a]", "(a := 1)", "a ==", "", "a\x00",
+        pytest.param("(" * 300 + "a" + ")" * 300, id="300-nested-parentheses"),
+        pytest.param("not " * 3000 + "a", id="3000-chained-not"),
+    ],
+)
+def test_filter_rejects_constructs_outside_the_grammar(expr):
+    with pytest.raises(ValueError):
+        compile_filter(expr)
+
+
+_grammar_token = st.sampled_from([
+    "a", "b", "1", "-2", "2.5", "'x'", '"AND"', "and", "OR", "Not", "(", ")",
+    "==", "!=", "<", "<=", ">", ">=", "'", '"', "-", ".", "in", "is", "None",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet="ab12 .-'\"()=!<>andortNOT"),
+                 st.lists(_grammar_token, max_size=12).map(" ".join)))
+def test_filter_compiles_or_raises_value_error(expr):
+    """Outside input either compiles or is rejected with ``ValueError``."""
+    try:
+        assert callable(compile_filter(expr))
+    except ValueError:
+        pass
 
 
 _operand = st.one_of(st.sampled_from(["a", "b"]), st.integers(-2, 2).map(str))

@@ -1,10 +1,10 @@
 """T4 benchmark (paper Fig 10, §5.3): node scaling to 1 M ev/s.
 
 ``test_t4_fig10_table`` regenerates the node-scaling ladder (CSV under
-``benchmarks/results/``); the micro-benchmark times the vectorized
-Lindley queue over one million events (the simulator's backbone).
+``benchmarks/results/`` unless benchmarks are disabled); the
+micro-benchmark times the vectorized Lindley queue over one million
+events (the simulator's backbone).
 """
-import os
 import tempfile
 
 import numpy as np
@@ -12,15 +12,14 @@ import numpy as np
 from repro.bench.fig10 import calibrate_unit_service, run_fig10
 from repro.bench.queueing import fifo_departures
 
-RESULTS = os.path.join(os.path.dirname(__file__), "results")
-os.makedirs(RESULTS, exist_ok=True)
+from . import save_table
 
 
 def test_t4_fig10_table(benchmark):
     """Regenerate T4: calibrate a real unit, run the paper's ladder."""
     svc = calibrate_unit_service(tempfile.mkdtemp(prefix="bench-fig10-"))
     df = benchmark.pedantic(lambda: run_fig10(svc), rounds=1, iterations=1)
-    df.to_csv(os.path.join(RESULTS, "T4_fig10.csv"), index=False)
+    save_table(benchmark, df, "T4_fig10.csv")
     benchmark.extra_info["table"] = df.to_dict("records")
     small = df[df.nodes <= 20]
     assert small.sustainable.all() and small.meets_M.all()

@@ -1,12 +1,11 @@
 """T1 benchmark (paper Fig 8, §5.1): Flink hopping vs Railgun sliding.
 
-``test_t1_fig8_table`` regenerates the whole T1 table (written to
-``benchmarks/results/T1_fig8.csv`` and attached as benchmark
-extra_info); the micro-benchmarks time per-event processing of each
-engine so the §2.2 cost ladder is visible directly in the
-pytest-benchmark output.
+``test_t1_fig8_table`` regenerates the whole T1 table (attached as
+benchmark extra_info, and written to ``benchmarks/results/T1_fig8.csv``
+unless benchmarks are disabled); the micro-benchmarks time per-event
+processing of each engine so the §2.2 cost ladder is visible directly
+in the pytest-benchmark output.
 """
-import os
 import tempfile
 
 import pytest
@@ -17,8 +16,7 @@ from repro.core.engines import FlinkHoppingEngine
 from repro.core.task import TaskProcessor
 from repro.core.windows import MINUTE, SECOND
 
-RESULTS = os.path.join(os.path.dirname(__file__), "results")
-os.makedirs(RESULTS, exist_ok=True)
+from . import save_table
 
 
 def test_t1_fig8_table(benchmark):
@@ -29,7 +27,7 @@ def test_t1_fig8_table(benchmark):
         rounds=1, iterations=1,
     )
     df = fig8_table(results)
-    df.to_csv(os.path.join(RESULTS, "T1_fig8.csv"), index=False)
+    save_table(benchmark, df, "T1_fig8.csv")
     benchmark.extra_info["table"] = df.to_dict("records")
     rows = {r.engine: r for r in results}
     railgun = results[0]

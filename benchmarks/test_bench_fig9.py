@@ -1,18 +1,17 @@
 """T2/T3 benchmarks (paper Fig 9, §5.2): window size & window count.
 
 ``test_t2_fig9a_table`` and ``test_t3_fig9b_table`` regenerate the
-tables (CSV under ``benchmarks/results/``); the micro-benchmarks time
-the reservoir primitives (append, sequential iteration with prefetch,
-demand load) that make the window-size independence possible.
+tables (CSV under ``benchmarks/results/`` unless benchmarks are
+disabled); the micro-benchmarks time the reservoir primitives (append,
+sequential iteration with prefetch, demand load) that make the
+window-size independence possible.
 """
-import os
 import tempfile
 
 from repro.bench.fig9 import fig9_table, run_fig9a, run_fig9b
 from repro.core.reservoir import EventReservoir
 
-RESULTS = os.path.join(os.path.dirname(__file__), "results")
-os.makedirs(RESULTS, exist_ok=True)
+from . import save_table
 
 
 def test_t2_fig9a_table(benchmark):
@@ -22,7 +21,7 @@ def test_t2_fig9a_table(benchmark):
         lambda: run_fig9a(tmp, n_events=12_000), rounds=1, iterations=1
     )
     df = fig9_table(results)
-    df.to_csv(os.path.join(RESULTS, "T2_fig9a.csv"), index=False)
+    save_table(benchmark, df, "T2_fig9a.csv")
     benchmark.extra_info["table"] = df.to_dict("records")
     p999 = [r.percentiles["p99.9"] for r in results]
     assert max(p999) < min(p999) * 1.5  # independent of window size
@@ -38,7 +37,7 @@ def test_t3_fig9b_table(benchmark):
         lambda: run_fig9b(tmp, n_events=8_000), rounds=1, iterations=1
     )
     df = fig9_table(results)
-    df.to_csv(os.path.join(RESULTS, "T3_fig9b.csv"), index=False)
+    save_table(benchmark, df, "T3_fig9b.csv")
     benchmark.extra_info["table"] = df.to_dict("records")
     by_iters = {r.extra["iterators"]: r for r in results}
     # steady-state misses ~0 while iterators fit the cache...

@@ -41,6 +41,9 @@ only a tiny, window-count-bound set of chunks in memory:
   module knows an event was late: every iterator yields each stored event
   with ``ts <= bound`` exactly once, one stored behind its cursor ahead of
   the cursor's own events.
+- A **checkpoint** closes no chunk: it lists the sealed ones and copies
+  those in memory, so every copy of a task has the same chunk boundaries
+  and accepts and drops the same late events.
 """
 from __future__ import annotations
 
@@ -56,6 +59,9 @@ from typing import Any
 
 Event = dict  # {'id': ..., 'ts': int epoch-ms, <payload fields>}
 _ts = itemgetter("ts")
+# what a checkpoint carries besides the chunks
+_CHECKPOINTED = ("_last_closed_ts", "watermark", "total_events",
+                 "dropped_late", "rewritten_late", "dropped_dups")
 
 
 @dataclass
@@ -189,25 +195,24 @@ class ReservoirIterator:
     def seek_after(self, bound_ts: int) -> None:
         """Position the cursor just past every event with ts <= bound.
 
-        Uses the in-memory ts index (a random read, §4.1.1) instead of
-        scanning — how a recovering or newly-added window attaches.
+        A sealed chunk is found through the in-memory ts index (a random
+        read, §4.1.1), one in memory by bisect; it prefetches nothing. How
+        a recovering or newly-added window attaches.
         """
         r = self.r
         self._release()
         self._current = None
         self._late.clear()
-        firsts = [c.first_ts for c in r._index]
-        lo = bisect.bisect_right(firsts, bound_ts) - 1
-        if lo < 0:
-            self.chunk_id, self.idx = 0, 0
+        memory = [*(e for _, e, _ in r._transition), r._open]
+        firsts = [c.first_ts for c in r._index] + [e[0]["ts"] for e in memory if e]
+        cid = bisect.bisect_right(firsts, bound_ts) - 1
+        sealed = cid < len(r._index)
+        if cid < 0 or (sealed and bound_ts >= r._index[cid].last_ts):
+            self.chunk_id, self.idx = cid + 1, 0
             return
-        ref = r._index[lo]
-        if bound_ts >= ref.last_ts:
-            self.chunk_id, self.idx = lo + 1, 0
-            return
-        events = r._fetch_sealed(lo)
+        events = r._fetch_sealed(cid) if sealed else memory[cid - len(r._index)]
         self.idx = bisect.bisect_right(events, bound_ts, key=_ts)
-        self.chunk_id = lo
+        self.chunk_id = cid
         self._current = events
 
 
@@ -320,8 +325,6 @@ class EventReservoir:
         return None
 
     def _close_open(self) -> None:
-        if not self._open:
-            return
         cid, events = self._open_id, self._open
         close_ts = events[-1]["ts"]
         self._open = []
@@ -441,28 +444,26 @@ class EventReservoir:
     def disk_bytes(self) -> int:
         return sum(c.length for c in self._index)
 
-    def flush(self) -> None:
-        """Seal everything in memory (used by checkpoints and shutdown)."""
-        self._close_open()  # with lateness, parks it as the newest transition
-        for cid, events, _ in self._transition:
-            self._seal(cid, events)
-        self._transition = []
-
     def checkpoint(self) -> dict:
-        """Seal in-memory chunks and return restorable metadata."""
-        self.flush()
+        """Return restorable metadata: the sealed index and file, copies of
+        the chunks in memory, and the counters. Closes no chunk."""
         self._file()  # exists even when nothing was sealed, so it can be copied
         return {"index": list(self._index), "file": self.path,
-                "total_events": self.total_events}
+                "open": list(self._open),
+                "transition": [(cid, list(e), c) for cid, e, c in self._transition],
+                **{k: getattr(self, k) for k in _CHECKPOINTED}}
 
     def load(self, meta: dict) -> None:
         """Fill this empty reservoir from checkpoint metadata and a copy of
         the checkpointed file at ``path``; later seals append to it."""
         self._index = list(meta["index"])
-        self._open_id = len(self._index)  # the checkpoint sealed every chunk
-        self.total_events = meta["total_events"]
-        if self._index:
-            self._last_closed_ts = self.watermark = self._index[-1].last_ts
+        self._transition = [(cid, list(e), c) for cid, e, c in meta["transition"]]
+        self._open = list(meta["open"])
+        self._open_id = len(self._index) + len(self._transition)
+        for chunk in (self._open, *(e for _, e, _ in self._transition)):
+            self._dedup.update(e.get("id") for e in chunk)
+        for k in _CHECKPOINTED:
+            setattr(self, k, meta[k])
 
     def close(self) -> None:
         if self._fh is not None:

@@ -7,9 +7,9 @@ one message = append to the event reservoir → advance the plan DAG
 answer with the arriving event's aggregates.
 
 Checkpointing (§4.1.3) synchronizes the reservoir and the state store:
-``checkpoint()`` seals in-memory chunks, flushes state, and records the
-last processed offset so a recovering processor can copy the
-files and replay the delta from the messaging layer.
+``checkpoint()`` copies the reservoir's in-memory chunks (it closes
+none), flushes state, and records the last processed offset so a
+recovering processor can copy the files and replay the delta.
 """
 from __future__ import annotations
 
@@ -97,7 +97,6 @@ class TaskProcessor:
                 raise ValueError("warm_start does not support filtered metrics")
             if leaf.metric.agg not in FROM_MOMENTS:
                 raise ValueError(f"warm_start does not support {leaf.metric.agg!r}")
-        self.reservoir.flush()
         states = {}
         for leaf in self.plan.leaves:
             lo, hi = leaf.metric.window.bounds(now_ts)
@@ -166,8 +165,7 @@ class TaskProcessor:
         tp.store.load(state_copy)
         tp.last_offset = ckpt["last_offset"]
         if tp.reservoir.watermark is not None:
-            # the checkpoint sealed every chunk, and the copied state holds
-            # the windows at the watermark
+            # the copied state holds the windows at the watermark
             tp._position_iterators(tp.reservoir.watermark)
         return tp
 
@@ -176,7 +174,7 @@ class TaskProcessor:
 
         Used when aggregate state was loaded directly instead of being
         built by advancing: heads seek past ``hi`` and tails past ``lo``,
-        random reads via the ts index, not scans.
+        in any chunk, not by scanning.
         """
         for wnode in self.plan.windows.values():
             lo, hi = wnode.spec.bounds(now_ts)

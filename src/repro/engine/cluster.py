@@ -159,40 +159,46 @@ class RailgunCluster:
         for t, uids in asg.replicas.items():
             for uid in uids:
                 new_by_unit[uid][1].add(t)
+        # every gained copy is made while the units still hold their old roles
         for uid, (new_active, new_replica) in new_by_unit.items():
             u = self.units[uid]
             for t in (new_active | new_replica) - set(u.task_processors):
                 ckpt = self._checkpoint_from_holder(t, exclude=uid)
                 u.ensure_task(t, self._topic_statements[t[0]], ckpt)
-            u.active, u.replica = new_active, new_replica
+        for uid, (new_active, new_replica) in new_by_unit.items():
+            self.units[uid].active, self.units[uid].replica = new_active, new_replica
 
     def _checkpoint_from_holder(self, task: Task, exclude: str) -> dict | None:
-        """Find a live unit with the task's data and take its checkpoint.
+        """Take the checkpoint of a live unit with the task's data.
 
-        Prefers current holders; stale holders would need only a delta in
-        the paper — here any holder yields a full checkpoint copy.
+        Prefers the active copy, then a replica, then a stale holder,
+        whose checkpoint is older, so more of the log is replayed after it.
         """
-        for uid, u in self.units.items():
-            if uid != exclude and u.alive and task in u.task_processors:
-                return u.task_processors[task].checkpoint()
-        return None
+        holders = sorted(
+            (u for uid, u in self.units.items()
+             if uid != exclude and u.alive and task in u.task_processors),
+            key=lambda u: (task not in u.active, task not in u.replica))
+        return holders[0].task_processors[task].checkpoint() if holders else None
 
     # -- client path ----------------------------------------------------------------
 
-    def send(self, stream: str, event: dict, *, via_node: str | None = None,
-             max_steps: int = 50) -> dict[str, Any]:
-        """Synchronously push one event through Fig 3 steps 1–6."""
+    def send(self, stream: str, event: dict, *, via_node: str | None = None
+             ) -> dict[str, Any]:
+        """Synchronously push one event through Fig 3 steps 1–6, stepping
+        until its reply is complete, however long a replay comes first.
+        Raises ``TimeoutError`` if a step processes nothing and it is not."""
         node = via_node or self.nodes[0]
         fe = self.frontends[node]
         if "id" not in event:
             event = dict(event, id=f"ev{next(self._event_counter)}")
         fe.send(stream, self._streams[stream], event)
-        for _ in range(max_steps):
-            self.step()
+        while True:
+            progressed = self.step()
             fe.poll_replies()
             if event["id"] in fe.completed:
                 return fe.completed.pop(event["id"])
-        raise TimeoutError(f"no complete reply for event {event['id']}")
+            if not progressed:
+                raise TimeoutError(f"no complete reply for event {event['id']}")
 
     def step(self) -> int:
         """Advance every live processor unit one Algorithm-1 iteration."""

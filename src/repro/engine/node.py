@@ -43,7 +43,7 @@ class FrontEnd:
         for part_field in partitioners:
             topic = f"{stream}.{part_field}"
             msg = dict(event, _reply_to=self.reply_topic)
-            self.kafka.produce(topic, key=event[part_field], value=msg, ts=event["ts"])
+            self.kafka.produce(topic, key=event[part_field], value=msg)
 
     def poll_replies(self) -> None:
         """Steps 5–6: collect per-topic answers; merge when all arrived."""

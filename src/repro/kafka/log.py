@@ -27,18 +27,16 @@ class Record:
     """One message in a partition log."""
 
     offset: int
-    key: Any
     value: Any
-    ts: int | None = None
 
 
 @dataclass
 class _Partition:
     records: list[Record] = field(default_factory=list)
 
-    def append(self, key: Any, value: Any, ts: int | None) -> int:
+    def append(self, value: Any) -> int:
         off = len(self.records)
-        self.records.append(Record(off, key, value, ts))
+        self.records.append(Record(off, value))
         return off
 
 
@@ -47,7 +45,6 @@ class MiniKafka:
 
     def __init__(self) -> None:
         self._topics: dict[str, list[_Partition]] = {}
-        self.produced = 0
 
     # -- topic management --------------------------------------------------
 
@@ -66,21 +63,15 @@ class MiniKafka:
 
     # -- produce / fetch ------------------------------------------------------
 
-    def produce(
-        self, topic: str, key: Any, value: Any, *, ts: int | None = None,
-        partition: int | None = None,
-    ) -> tuple[int, int]:
+    def produce(self, topic: str, key: Any, value: Any) -> tuple[int, int]:
         """Append a message; returns (partition, offset).
 
-        With no explicit partition, the key is hashed over the partition
-        count — messages with equal keys always land in the same
-        partition (the guarantee §4 builds on).
+        The key is hashed over the partition count — messages with equal
+        keys always land in the same partition (the guarantee §4 builds on).
         """
         parts = self._topics[topic]
-        p = stable_hash(key) % len(parts) if partition is None else partition
-        off = parts[p].append(key, value, ts)
-        self.produced += 1
-        return p, off
+        p = stable_hash(key) % len(parts)
+        return p, parts[p].append(value)
 
     def fetch(
         self, topic: str, partition: int, offset: int, max_records: int = 500

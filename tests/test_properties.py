@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) for the reservoir and the engine."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.aggregators import AGGREGATORS
 from repro.core.reservoir import EventReservoir
@@ -158,9 +158,15 @@ def test_task_processor_count_matches_bruteforce(tmp_path_factory, events, windo
 
 @settings(max_examples=25, deadline=None)
 @given(events=arrivals(), policy=POLICIES, checkpoint_at=st.integers(5, 60))
+@example(  # a late event after the cut that the open chunk still accepts
+    events=[{"id": i, "ts": ts, "card_id": 1, "amount": 1.0}
+            for i, ts in enumerate((1000, 2000, 3000, 4000, 5000, 500))],
+    policy={"out_of_order": "drop"}, checkpoint_at=5,
+)
 def test_checkpoint_recovery_transparent(tmp_path_factory, events, policy, checkpoint_at):
     """Recovery at any point, out-of-order input included, yields a
-    processor that answers identically."""
+    processor that answers identically, and so does the checkpointed one:
+    both answer like a twin that was never checkpointed."""
     select = ("count(amount), max(amount), min(amount), stdDev(amount), "
               "countDistinct(amount)")
     sqls = [
@@ -169,18 +175,18 @@ def test_checkpoint_recovery_transparent(tmp_path_factory, events, policy, check
         "OVER sliding 10 seconds delayed by 5 seconds",
     ]
     kw = {"chunk_events": 8, "cache_chunks": 8, **policy}
-    tp = TaskProcessor(
-        "a", sqls, str(tmp_path_factory.mktemp("a")), reservoir_kwargs=kw
-    )
+    tp, twin = (TaskProcessor("a", sqls, str(tmp_path_factory.mktemp(d)),
+                              reservoir_kwargs=kw) for d in ("a", "twin"))
     cut = min(checkpoint_at, len(events) - 1)
     for e in events[:cut]:
         tp.process(e)
+        twin.process(e)
     ckpt = tp.checkpoint()
     tp2 = TaskProcessor.recover(
         ckpt, sqls, str(tmp_path_factory.mktemp("b")), reservoir_kwargs=kw
     )
     for e in events[cut:]:
-        assert tp.process(e) == tp2.process(e)
+        assert tp.process(e) == tp2.process(e) == twin.process(e)
 
 
 @st.composite

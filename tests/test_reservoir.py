@@ -1,4 +1,6 @@
 """Tests for the event reservoir (paper §4.1.1)."""
+import shutil
+
 import pytest
 
 from repro.core.reservoir import EventReservoir
@@ -92,6 +94,18 @@ def test_seek_after_positions_past_bound(tmp_path):
     out = []
     it.advance_until(10**9, out)
     assert out[0]["id"] == 30  # ts 300 is the first > 299
+
+
+def test_seek_after_into_chunks_in_memory(tmp_path):
+    r = make(tmp_path, lateness_ms=100)
+    _fill(r, 30)  # chunks 0, 1 sealed, 2 in transition, ids 24..29 open
+    assert (r.sealed_chunks(), len(r._transition), len(r._open)) == (2, 1, 6)
+    for bound in (-1, 35, 79, 160, 235, 239, 250, 295, 10**9):
+        it = r.iterator()
+        it.seek_after(bound)
+        out = []
+        it.advance_until(10**9, out)
+        assert [e["id"] for e in out] == [i for i in range(30) if i * 10 > bound]
 
 
 def test_compression_on_disk(tmp_path):
@@ -342,12 +356,13 @@ def test_sealed_events_read_back_with_their_own_keys(tmp_path):
         {"id": 7, "ts": 70, "v": None, "x": None},
         *({"id": i, "ts": i * 10, "v": float(i)} for i in range(8, 12)),
         {"id": 12, "ts": 120, "w": 12.0},
+        *({"id": i, "ts": i * 10, "v": float(i)} for i in range(13, 16)),
     ]
     r = make(tmp_path, chunk_events=4)
     for e in events:
         r.append(dict(e))
+    assert r.sealed_chunks() == 4  # whole chunks: every event reads back from disk
     meta = r.checkpoint()
-    assert r.sealed_chunks() == 4
     r2 = make(tmp_path, chunk_events=4)
     r2.load(meta)
     for res in (r, r2):
@@ -362,15 +377,43 @@ def test_checkpoint_restore_roundtrip(tmp_path):
     r = make(tmp_path)
     _fill(r, 30)
     meta = r.checkpoint()
-    assert r.sealed_chunks() == 4  # 30 events / 8 per chunk, flushed
+    assert r.sealed_chunks() == 3  # 30 events / 8 per chunk: 6 stay open
     r2 = make(tmp_path)
     r2.load(meta)
     out = []
     r2.iterator().advance_until(10**9, out)
-    assert [e["id"] for e in out] == list(range(30))
-    # restored reservoir accepts further appends
-    r2.append({"id": 30, "ts": 300, "v": 30.0})
-    assert r2.total_events == 31
+    assert [e["id"] for e in out] == list(range(30))  # sealed and in memory
+    # restored reservoir dedups the open chunk and fills it to a whole chunk
+    assert r2.append(_ev(29)) == "dup"
+    _fill(r2, 2, start=30)
+    assert r2.total_events == 32 and r2.sealed_chunks() == 4
+
+
+def _layout(r):
+    return (r.sealed_chunks(), r.disk_bytes(), r._open_id, list(r._open),
+            [(cid, list(e), c) for cid, e, c in r._transition],
+            r._last_closed_ts, r.watermark, r.total_events, r.dropped_late)
+
+
+def test_checkpoint_changes_nothing_and_load_restores_the_layout(tmp_path):
+    """A checkpoint closes no chunk, and a loaded copy holds the same chunks
+    in memory: it accepts, dedups and drops the next events like the
+    original, and keeps its chunk boundaries."""
+    r = make(tmp_path / "a", chunk_events=4, lateness_ms=100)
+    _fill(r, 15)  # chunk 0 sealed, chunks 1 and 2 in transition, 3 open
+    before = _layout(r)
+    assert before[:3] == (1, r._index[0].length, 3) and len(before[4]) == 2
+    meta = r.checkpoint()
+    assert _layout(r) == before
+    r2 = make(tmp_path / "b", chunk_events=4, lateness_ms=100)
+    shutil.copy(meta["file"], r2.path)
+    r2.load(meta)
+    assert _layout(r2) == before
+    nxt = [_ev(100, ts=75), _ev(14), _ev(101, ts=5), _ev(12),
+           *(_ev(i) for i in range(15, 30))]
+    assert [r.append(dict(e)) for e in nxt] == [r2.append(dict(e)) for e in nxt] == [
+        "ok", "dup", "late-dropped", "dup", *["ok"] * 15]
+    assert _layout(r2) == _layout(r)
 
 
 def test_costs_accounting(tmp_path):

@@ -15,9 +15,14 @@ only a tiny, window-count-bound set of chunks in memory:
   a field of the union, the chunk also lists the rows without each such
   field, so every event reads back with exactly the keys it was stored
   with (a stored ``None`` stays a present ``None``).
-- An in-memory index of ``(first_ts, last_ts, offset, length)`` per sealed
-  chunk, in chunk order, supports random reads (needed when a new
-  window/metric is added).
+- The chunks in memory are one list, oldest first: the transition chunks
+  (each with its close timestamp), then the open chunk, last. Chunk ids
+  count sealed chunks first, so a chunk id at or above
+  ``sealed_chunks()`` indexes that list.
+- An in-memory index of sealed chunks, four int64 ``array('q')`` columns
+  (first ts, last ts, file offset, length; position == chunk id), supports
+  random reads (needed when a new window/metric is added) at 32 bytes per
+  chunk, with no Python object per chunk.
 - **Iterators** read the reservoir in timestamp order. Each iterator holds
   the chunk it is in, whether open, in transition or sealed: the open
   list is the same object that later becomes the sealed chunk, so an
@@ -34,15 +39,18 @@ only a tiny, window-count-bound set of chunks in memory:
   LRU-evicting: with more concurrent iterators than cache slots, staged
   chunks are evicted before use and every advance becomes a paid miss —
   the Fig 9b cliff.
-- Out-of-order events are accepted while their chunk is open or in
-  transition; afterwards they are dropped or timestamp-rewritten to the
-  open chunk's first timestamp, per configuration. Events are deduplicated
+- An event is *late* when its timestamp is below the last timestamp of
+  the newest closed chunk; a tie is not late and joins the open chunk.
+  Late events are accepted while their chunk is in transition;
+  afterwards they are dropped or timestamp-rewritten to the open chunk's
+  first timestamp (the newest close timestamp when the open chunk is
+  empty), per configuration. Events are deduplicated
   by ``id`` against the in-memory (open + transition) chunks. No other
   module knows an event was late: every iterator yields each stored event
   with ``ts <= bound`` exactly once, one stored behind its cursor ahead of
   the cursor's own events.
-- A **checkpoint** closes no chunk: it lists the sealed ones and copies
-  those in memory, so every copy of a task has the same chunk boundaries
+- A **checkpoint** closes no chunk: it copies the index columns and the
+  chunks in memory, so every copy of a task has the same chunk boundaries
   and accepts and drops the same late events.
 """
 from __future__ import annotations
@@ -52,26 +60,18 @@ import os
 import pickle
 import time
 import zlib
+from array import array
 from collections import OrderedDict
-from dataclasses import dataclass
+from copy import copy
 from operator import itemgetter
 from typing import Any
 
 Event = dict  # {'id': ..., 'ts': int epoch-ms, <payload fields>}
 _ts = itemgetter("ts")
-# what a checkpoint carries besides the chunks
-_CHECKPOINTED = ("_last_closed_ts", "watermark", "total_events",
-                 "dropped_late", "rewritten_late", "dropped_dups")
-
-
-@dataclass
-class ChunkRef:
-    """Index entry for one sealed chunk; its position in the index is its id."""
-
-    first_ts: int
-    last_ts: int
-    offset: int
-    length: int
+# the sealed-chunk index columns, and what a checkpoint carries besides them
+_INDEX = ("_first", "_last", "_offset", "_length")
+_CHECKPOINTED = ("_close_ts", "_last_closed_ts", "_disk_bytes", "watermark",
+                 "total_events", "dropped_late", "rewritten_late", "dropped_dups")
 
 
 class _PrefetchCache:
@@ -160,10 +160,8 @@ class ReservoirIterator:
 
     def _enter(self) -> list[Event]:
         r = self.r
-        if self.chunk_id == r._open_id:
-            return r._open
-        if self.chunk_id >= len(r._index):
-            return next(e for cid, e, _ in r._transition if cid == self.chunk_id)
+        if self.chunk_id >= len(r._first):
+            return r._chunks[self.chunk_id - len(r._first)]
         events = r._fetch_sealed(self.chunk_id)
         self._reserved = r._prefetch(self.chunk_id + 1)
         return events
@@ -185,7 +183,7 @@ class ReservoirIterator:
             while self.idx < n and events[self.idx]["ts"] <= bound_ts:
                 out.append(events[self.idx])
                 self.idx += 1
-            if self.idx < n or self.chunk_id >= r._open_id:
+            if self.idx < n or events is r._chunks[-1]:
                 return  # blocked on bound, or caught up with the head
             self.chunk_id += 1
             self.idx = 0
@@ -203,14 +201,16 @@ class ReservoirIterator:
         self._release()
         self._current = None
         self._late.clear()
-        memory = [*(e for _, e, _ in r._transition), r._open]
-        firsts = [c.first_ts for c in r._index] + [e[0]["ts"] for e in memory if e]
-        cid = bisect.bisect_right(firsts, bound_ts) - 1
-        sealed = cid < len(r._index)
-        if cid < 0 or (sealed and bound_ts >= r._index[cid].last_ts):
-            self.chunk_id, self.idx = cid + 1, 0
-            return
-        events = r._fetch_sealed(cid) if sealed else memory[cid - len(r._index)]
+        firsts = [c[0]["ts"] for c in r._chunks if c]  # only the open one can be empty
+        m = bisect.bisect_right(firsts, bound_ts)
+        if m:
+            cid, events = len(r._first) + m - 1, r._chunks[m - 1]
+        else:
+            cid = bisect.bisect_right(r._first, bound_ts) - 1
+            if cid < 0 or bound_ts >= r._last[cid]:
+                self.chunk_id, self.idx = cid + 1, 0
+                return
+            events = r._fetch_sealed(cid)
         self.idx = bisect.bisect_right(events, bound_ts, key=_ts)
         self.chunk_id = cid
         self._current = events
@@ -238,14 +238,15 @@ class EventReservoir:
         self.cache = _PrefetchCache(cache_chunks)
         self.recent_hits = 0  # iterators that kept their chunk across its seal
 
-        self._index: list[ChunkRef] = []  # sealed chunks, position == chunk_id
-        self._transition: list[tuple[int, list[Event], int]] = []  # (cid, evs, close_ts)
-        self._open: list[Event] = []
-        self._open_id = 0
+        # the sealed-chunk index, position == chunk_id
+        self._first, self._last, self._offset, self._length = (array("q") for _ in _INDEX)
+        self._disk_bytes = 0  # sum of the index's lengths
+        self._chunks: list[list[Event]] = [[]]  # in memory: transition..., open
+        self._close_ts: list[int] = []  # per transition chunk
         self._dedup: set[Any] = set()  # ids of the events in memory (open + transition)
         self._iterators: list[ReservoirIterator] = []
         self._fh = None  # the file, opened on first use for appends and preads
-        self._last_closed_ts: int | None = None  # max ts at chunk *closure*
+        self._last_closed_ts: int | None = None  # newest close ts; below it is late
         self.watermark: int | None = None  # highest stored ts
         self.total_events = 0
         self.dropped_late = 0
@@ -275,28 +276,32 @@ class EventReservoir:
         ts = event["ts"]
         status = "ok"
         self._seal_expired_transitions(ts)
-        if self._last_closed_ts is not None and ts <= self._last_closed_ts:
-            tchunk = self._find_transition(ts)
-            if tchunk is None:
+        chunks = self._chunks
+        i = last = len(chunks) - 1  # the open chunk
+        if self._last_closed_ts is not None and ts < self._last_closed_ts:
+            i -= 1  # the newest transition chunk whose range admits ts, if any
+            while i >= 0 and chunks[i][0]["ts"] > ts:
+                i -= 1
+            if i < 0:
                 if self.out_of_order == "drop":
                     self.dropped_late += 1
                     return "late-dropped"
-                ts = self._open[0]["ts"] if self._open else self._last_closed_ts + 1
+                ts = chunks[last][0]["ts"] if chunks[last] else self._last_closed_ts
                 event = dict(event, ts=ts)
                 status = "late-rewritten"
                 self.rewritten_late += 1
-                target_id, target = self._open_id, self._open
-            else:
-                target_id, target = tchunk
-        else:
-            target_id, target = self._open_id, self._open
+                i = last
 
-        self._sorted_insert(target_id, target, event)
+        target = chunks[i]
+        if i == last and (not target or target[-1]["ts"] <= ts):
+            target.append(event)  # no cursor is past the end of the open chunk
+        else:
+            self._sorted_insert(len(self._first) + i, target, event)
         if eid is not None:
             self._dedup.add(eid)
         self.total_events += 1
         self.watermark = ts if self.watermark is None else max(self.watermark, ts)
-        if target_id == self._open_id and len(self._open) >= self.chunk_events:
+        if i == last and len(target) >= self.chunk_events:
             self._close_open()
         return status
 
@@ -304,44 +309,29 @@ class EventReservoir:
         """Insert in ts order (ties in arrival order) and hand the event to
         every iterator already past the insert point."""
         ts = event["ts"]
-        pos = len(chunk)
-        if not chunk or chunk[-1]["ts"] <= ts:
-            chunk.append(event)
-            if chunk_id == self._open_id:
-                return  # no cursor is past the end of the open chunk
-        else:
-            pos = bisect.bisect_right(chunk, ts, key=_ts)
-            chunk.insert(pos, event)
+        pos = bisect.bisect_right(chunk, ts, key=_ts)
+        chunk.insert(pos, event)
         for it in self._iterators:
             if (it.chunk_id, it.idx) > (chunk_id, pos):
                 it.idx += it.chunk_id == chunk_id
                 bisect.insort(it._late, event, key=_ts)
 
-    def _find_transition(self, ts: int) -> tuple[int, list[Event]] | None:
-        # newest transition chunk whose range admits ts
-        for cid, events, _close_ts in reversed(self._transition):
-            if events and events[0]["ts"] <= ts:
-                return (cid, events)
-        return None
-
     def _close_open(self) -> None:
-        cid, events = self._open_id, self._open
-        close_ts = events[-1]["ts"]
-        self._open = []
-        self._open_id = cid + 1
-        self._last_closed_ts = close_ts
+        self._last_closed_ts = self._chunks[-1][-1]["ts"]
+        self._chunks.append([])
         if self.lateness_ms > 0:
-            self._transition.append((cid, events, close_ts))
+            self._close_ts.append(self._last_closed_ts)
         else:
-            self._seal(cid, events)
+            self._seal()
 
     def _seal_expired_transitions(self, now_ts: int) -> None:
-        while self._transition and self._transition[0][2] + self.lateness_ms < now_ts:
-            cid, events, _ = self._transition.pop(0)
-            self._seal(cid, events)
+        while self._close_ts and self._close_ts[0] + self.lateness_ms < now_ts:
+            del self._close_ts[0]
+            self._seal()
 
-    def _seal(self, chunk_id: int, events: list[Event]) -> None:
-        assert chunk_id == len(self._index), "chunks seal in order"
+    def _seal(self) -> None:
+        """Seal the oldest chunk in memory; it keeps its chunk id."""
+        chunk_id, events = len(self._first), self._chunks.pop(0)
         fields = sorted(set().union(*(e.keys() for e in events)))
         cols = {f: [e.get(f) for e in events] for f in fields}
         missing = {}  # field -> rows without it, when not every row has every field
@@ -354,7 +344,11 @@ class EventReservoir:
         offset = fh.seek(0, os.SEEK_END)
         fh.write(blob)
         fh.flush()
-        self._index.append(ChunkRef(events[0]["ts"], events[-1]["ts"], offset, len(blob)))
+        self._first.append(events[0]["ts"])
+        self._last.append(events[-1]["ts"])
+        self._offset.append(offset)
+        self._length.append(len(blob))
+        self._disk_bytes += len(blob)
         # Iterators inside the chunk keep it. Those holding the chunk
         # before it get it staged: the prefetch they could not make while
         # it was open.
@@ -370,8 +364,8 @@ class EventReservoir:
     # -- read path -----------------------------------------------------------
 
     def _load_sealed(self, chunk_id: int) -> list[Event]:
-        ref = self._index[chunk_id]
-        blob = os.pread(self._file().fileno(), ref.length, ref.offset)
+        blob = os.pread(self._file().fileno(), self._length[chunk_id],
+                        self._offset[chunk_id])
         cols, missing = pickle.loads(zlib.decompress(blob))
         events = [dict(zip(cols, row)) for row in zip(*cols.values())]
         for f, rows in missing.items():
@@ -397,7 +391,7 @@ class EventReservoir:
         the loaded copy serves every reader (shared cache). Returns
         whether a reservation was made (False: not sealed yet).
         """
-        if chunk_id >= len(self._index):
+        if chunk_id >= len(self._first):
             return False
         if self.cache.reserve(chunk_id):
             return True
@@ -433,37 +427,31 @@ class EventReservoir:
         A chunk can be open, in transition, cached and held by iterators
         at the same time; it is one list object in all of those places.
         """
-        chunks = [self._open, *(e for _, e, _ in self._transition),
-                  *self.cache._d.values(),
+        chunks = [*self._chunks, *self.cache._d.values(),
                   *(it._current for it in self._iterators if it._current is not None)]
         return sum(len(c) for c in {id(c): c for c in chunks}.values())
 
     def sealed_chunks(self) -> int:
-        return len(self._index)
+        return len(self._first)
 
     def disk_bytes(self) -> int:
-        return sum(c.length for c in self._index)
+        return self._disk_bytes
 
     def checkpoint(self) -> dict:
-        """Return restorable metadata: the sealed index and file, copies of
-        the chunks in memory, and the counters. Closes no chunk."""
+        """Return restorable metadata: copies of the index columns and of
+        the chunks in memory, the file, and the counters. Closes no chunk."""
         self._file()  # exists even when nothing was sealed, so it can be copied
-        return {"index": list(self._index), "file": self.path,
-                "open": list(self._open),
-                "transition": [(cid, list(e), c) for cid, e, c in self._transition],
-                **{k: getattr(self, k) for k in _CHECKPOINTED}}
+        return {"file": self.path, "chunks": [list(c) for c in self._chunks],
+                **{k: copy(getattr(self, k)) for k in _INDEX + _CHECKPOINTED}}
 
     def load(self, meta: dict) -> None:
         """Fill this empty reservoir from checkpoint metadata and a copy of
         the checkpointed file at ``path``; later seals append to it."""
-        self._index = list(meta["index"])
-        self._transition = [(cid, list(e), c) for cid, e, c in meta["transition"]]
-        self._open = list(meta["open"])
-        self._open_id = len(self._index) + len(self._transition)
-        for chunk in (self._open, *(e for _, e, _ in self._transition)):
+        self._chunks = [list(c) for c in meta["chunks"]]
+        for chunk in self._chunks:
             self._dedup.update(e.get("id") for e in chunk)
-        for k in _CHECKPOINTED:
-            setattr(self, k, meta[k])
+        for k in _INDEX + _CHECKPOINTED:
+            setattr(self, k, copy(meta[k]))
 
     def close(self) -> None:
         if self._fh is not None:

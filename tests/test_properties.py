@@ -12,12 +12,12 @@ from .test_plan_task import _reference
 
 @st.composite
 def event_stream(draw, max_n=120):
-    """An in-order stream with occasional duplicate timestamps avoided.
-    The schema evolves: a ``fee`` field first appears at a drawn index
-    (never, when that index is ``n``)."""
+    """An in-order stream; a gap of 0 ties two timestamps. The schema
+    evolves: a ``fee`` field first appears at a drawn index (never, when
+    that index is ``n``)."""
     n = draw(st.integers(1, max_n))
     gaps = draw(
-        st.lists(st.integers(1, 5_000), min_size=n, max_size=n)
+        st.lists(st.integers(0, 5_000), min_size=n, max_size=n)
     )
     ts = np.cumsum(gaps)
     keys = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
@@ -89,7 +89,7 @@ def test_reservoir_iterator_bound_is_exact(tmp_path_factory, events, chunk, boun
 
 def _held_events(r):
     """Distinct event objects in the reservoir's in-memory holders."""
-    holders = [r._open, *(e for _, e, _ in r._transition), *r.cache._d.values(),
+    holders = [*r._chunks, *r.cache._d.values(),
                *(it._current for it in r._iterators if it._current is not None)]
     return len({id(e) for chunk in holders for e in chunk})
 

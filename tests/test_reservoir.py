@@ -1,5 +1,7 @@
 """Tests for the event reservoir (paper §4.1.1)."""
+import gc
 import shutil
+import tracemalloc
 
 import pytest
 
@@ -99,13 +101,32 @@ def test_seek_after_positions_past_bound(tmp_path):
 def test_seek_after_into_chunks_in_memory(tmp_path):
     r = make(tmp_path, lateness_ms=100)
     _fill(r, 30)  # chunks 0, 1 sealed, 2 in transition, ids 24..29 open
-    assert (r.sealed_chunks(), len(r._transition), len(r._open)) == (2, 1, 6)
+    # two sealed chunks, one of 8 events in transition, 6 events open
+    assert (r.sealed_chunks(), [len(c) for c in r._chunks]) == (2, [8, 6])
     for bound in (-1, 35, 79, 160, 235, 239, 250, 295, 10**9):
         it = r.iterator()
         it.seek_after(bound)
         out = []
         it.advance_until(10**9, out)
         assert [e["id"] for e in out] == [i for i in range(30) if i * 10 > bound]
+
+
+def test_index_costs_at_most_40_bytes_per_sealed_chunk(tmp_path):
+    """§4.1.1: the in-memory index is the only per-chunk cost of history."""
+    r = make(tmp_path, chunk_events=1)
+    r.append(_ev(-1))  # the file is open and the first chunk sealed
+    n = 20_000
+    tracemalloc.start()
+    try:
+        gc.collect()  # a full collection also empties the interpreter's free lists
+        before = tracemalloc.get_traced_memory()[0]
+        _fill(r, n)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert r.sealed_chunks() == n + 1
+    assert grown <= 40 * n
 
 
 def test_compression_on_disk(tmp_path):
@@ -148,6 +169,22 @@ def test_late_event_rewritten_by_policy(tmp_path):
     it.advance_until(10**9, out)
     rewritten = [e for e in out if e["id"] == "late"][0]
     assert rewritten["ts"] == 80  # first timestamp of the open chunk
+
+
+@pytest.mark.parametrize("policy", ["drop", "rewrite"])
+def test_a_tie_with_a_closed_chunk_is_not_late(tmp_path, policy):
+    """An event with the ts its predecessor closed a chunk at joins the
+    open chunk, under either policy, and a rewrite into an empty open
+    chunk takes that close ts."""
+    r = make(tmp_path, chunk_events=2, out_of_order=policy)
+    assert [r.append(_ev(i, ts=ts)) for i, ts in enumerate([10, 20, 20, 30])] == ["ok"] * 4
+    # chunk 1 closed at 30 and the open chunk is empty
+    assert r.append(_ev(4, ts=15)) == ("late-dropped" if policy == "drop" else "late-rewritten")
+    assert r.append(_ev(5, ts=30)) == "ok"
+    out = []
+    r.iterator().advance_until(10**9, out)
+    assert [(e["id"], e["ts"]) for e in out] == [
+        (0, 10), (1, 20), (2, 20), (3, 30), *([(4, 30)] if policy == "rewrite" else []), (5, 30)]
 
 
 def test_out_of_order_within_open_chunk_sorted_insert(tmp_path):
@@ -390,8 +427,8 @@ def test_checkpoint_restore_roundtrip(tmp_path):
 
 
 def _layout(r):
-    return (r.sealed_chunks(), r.disk_bytes(), r._open_id, list(r._open),
-            [(cid, list(e), c) for cid, e, c in r._transition],
+    return (r.sealed_chunks(), r.disk_bytes(), [list(c) for c in r._chunks],
+            list(r._close_ts), [list(c) for c in (r._first, r._last, r._offset, r._length)],
             r._last_closed_ts, r.watermark, r.total_events, r.dropped_late)
 
 
@@ -402,7 +439,8 @@ def test_checkpoint_changes_nothing_and_load_restores_the_layout(tmp_path):
     r = make(tmp_path / "a", chunk_events=4, lateness_ms=100)
     _fill(r, 15)  # chunk 0 sealed, chunks 1 and 2 in transition, 3 open
     before = _layout(r)
-    assert before[:3] == (1, r._index[0].length, 3) and len(before[4]) == 2
+    assert before[:2] == (1, r._length[0]) and [len(c) for c in before[2]] == [4, 4, 3]
+    assert len(before[3]) == 2  # a close ts per transition chunk
     meta = r.checkpoint()
     assert _layout(r) == before
     r2 = make(tmp_path / "b", chunk_events=4, lateness_ms=100)

@@ -3,9 +3,10 @@
 ``test_t2_fig9a_table`` and ``test_t3_fig9b_table`` regenerate the
 tables (CSV under ``benchmarks/results/`` unless benchmarks are
 disabled); the micro-benchmarks time the reservoir primitives (append,
-sequential iteration with prefetch, demand load) that make the
-window-size independence possible.
+sequential iteration with prefetch, demand load, chunk seal) that make
+the window-size independence possible.
 """
+import random
 import tempfile
 
 from repro.bench.fig9 import fig9_table, run_fig9a, run_fig9b
@@ -89,3 +90,23 @@ def test_micro_chunk_demand_load(benchmark):
     for i in range(256 * 10):
         r.append({"id": i, "ts": i * 2, "amount": 1.0})
     benchmark(lambda: r._load_sealed(3))
+
+
+def test_micro_chunk_seal(benchmark):
+    """The burst a full chunk puts on the per-event path: serialize,
+    compress and append one 256-event chunk of 103-field events (5 numeric
+    fields and 98 eight-hex-character strings)."""
+    rng = random.Random(1)
+    events = [
+        {"id": i, "ts": i * 2, "card_id": rng.randrange(2_000),
+         "merchant_id": rng.randrange(500), "amount": rng.randrange(1, 100_000),
+         **{f"p{j:02d}": f"{rng.getrandbits(32):08x}" for j in range(98)}}
+        for i in range(256)
+    ]
+    r = EventReservoir(tempfile.mkdtemp(), chunk_events=256, cache_chunks=4)
+
+    def stage():  # the chunk to seal is the oldest one in memory
+        r._chunks.insert(0, list(events))
+
+    benchmark.pedantic(r._seal, setup=stage, rounds=30, iterations=1, warmup_rounds=2)
+    assert r._load_sealed(0) == events

@@ -7,14 +7,14 @@ only a tiny, window-count-bound set of chunks in memory:
   sorted by timestamp). When the chunk reaches ``chunk_events`` entries it
   is *closed*: optionally parked in a **transition** state for
   ``lateness_ms`` of event time (closed for recent events, still open for
-  late ones — the paper's watermark-like knob), then *sealed*: serialized
-  column-wise as one ``{field: column}`` dict over the sorted union of its
-  events' keys, zlib-compressed, and appended to the reservoir's one
-  append-only file. A chunk describes itself, so it decodes after the
-  event schema changes with no state outside it. When some event lacks
-  a field of the union, the chunk also lists the rows without each such
-  field, so every event reads back with exactly the keys it was stored
-  with (a stored ``None`` stays a present ``None``).
+  late ones — the paper's watermark-like knob), then *sealed*: its list
+  of event dicts pickled as one object, compressed with zlib at level 1,
+  and appended to the reservoir's one append-only file. A chunk describes
+  itself, so it decodes after the event schema changes with no state
+  outside it, and every event reads back with exactly the keys it was
+  stored with (a stored ``None`` stays a present ``None``). A seal runs
+  on the per-event path, so the format is the one cheapest to write and
+  read back, at the cost of disk bytes, which are not on that path.
 - The chunks in memory are one list, oldest first: the transition chunks
   (each with its close timestamp), then the open chunk, last. Chunk ids
   count sealed chunks first, so a chunk id at or above
@@ -332,14 +332,7 @@ class EventReservoir:
     def _seal(self) -> None:
         """Seal the oldest chunk in memory; it keeps its chunk id."""
         chunk_id, events = len(self._first), self._chunks.pop(0)
-        fields = sorted(set().union(*(e.keys() for e in events)))
-        cols = {f: [e.get(f) for e in events] for f in fields}
-        missing = {}  # field -> rows without it, when not every row has every field
-        if sum(map(len, events)) != len(fields) * len(events):
-            missing = {f: rows for f in fields
-                       if (rows := [i for i, e in enumerate(events) if f not in e])}
-        blob = zlib.compress(
-            pickle.dumps((cols, missing), protocol=pickle.HIGHEST_PROTOCOL), 6)
+        blob = zlib.compress(pickle.dumps(events, protocol=pickle.HIGHEST_PROTOCOL), 1)
         fh = self._file()
         offset = fh.seek(0, os.SEEK_END)
         fh.write(blob)
@@ -366,12 +359,7 @@ class EventReservoir:
     def _load_sealed(self, chunk_id: int) -> list[Event]:
         blob = os.pread(self._file().fileno(), self._length[chunk_id],
                         self._offset[chunk_id])
-        cols, missing = pickle.loads(zlib.decompress(blob))
-        events = [dict(zip(cols, row)) for row in zip(*cols.values())]
-        for f, rows in missing.items():
-            for i in rows:
-                del events[i][f]
-        return events
+        return pickle.loads(zlib.decompress(blob))
 
     def _fetch_sealed(self, chunk_id: int) -> list[Event]:
         """Fetch a sealed chunk for iteration.

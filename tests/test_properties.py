@@ -14,7 +14,7 @@ from .test_plan_task import _reference
 def event_stream(draw, max_n=120):
     """An in-order stream; a gap of 0 ties two timestamps. The schema
     evolves: a ``fee`` field first appears at a drawn index (never, when
-    that index is ``n``)."""
+    that index is ``n``), and is sometimes a stored ``None``."""
     n = draw(st.integers(1, max_n))
     gaps = draw(
         st.lists(st.integers(0, 5_000), min_size=n, max_size=n)
@@ -22,9 +22,10 @@ def event_stream(draw, max_n=120):
     ts = np.cumsum(gaps)
     keys = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     fee_from = draw(st.integers(0, n))
+    fee_none = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     return [
         {"id": i, "ts": int(ts[i]), "card_id": keys[i], "amount": float(i % 7),
-         **({"fee": i / 2} if i >= fee_from else {})}
+         **({"fee": None if fee_none[i] else i / 2} if i >= fee_from else {})}
         for i in range(n)
     ]
 
@@ -52,24 +53,23 @@ POLICIES = st.sampled_from(({"out_of_order": "drop"}, {"out_of_order": "rewrite"
 @settings(max_examples=40, deadline=None)
 @given(events=event_stream(), chunk=st.integers(2, 32))
 def test_reservoir_roundtrip_any_stream(tmp_path_factory, events, chunk):
-    """Whole events read back, from disk and after a checkpoint load: every
-    stored field equal, a field the event lacked as None."""
+    """The events read back equal the events appended, from disk and after
+    a checkpoint load: the same keys (a missing field stays missing, a
+    stored None stays present) and the same values."""
     path = str(tmp_path_factory.mktemp("res"))
     r = EventReservoir(path, chunk_events=chunk, cache_chunks=8)
     for e in events:
         assert r.append(dict(e)) == "ok"
-    fields = set().union(*events)
 
     def read_back(res):
         out = []
         res.iterator().advance_until(1 << 60, out)
-        return [{f: x.get(f) for f in fields} for x in out]
+        return out
 
-    expect = [{f: e.get(f) for f in fields} for e in events]
-    assert read_back(r) == expect
+    assert read_back(r) == events
     r2 = EventReservoir(path, chunk_events=chunk, cache_chunks=8)
     r2.load(r.checkpoint())
-    assert read_back(r2) == expect
+    assert read_back(r2) == events
     assert r.total_events == r2.total_events == len(events)
 
 

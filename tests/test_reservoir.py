@@ -132,7 +132,7 @@ def test_index_costs_at_most_40_bytes_per_sealed_chunk(tmp_path):
 def test_compression_on_disk(tmp_path):
     r = make(tmp_path, chunk_events=128)
     _fill(r, 1024)
-    # column-wise pickled + zlib: far smaller than raw pickled dicts
+    # each chunk's pickled list, zlib-compressed: far smaller than the raw pickle
     import pickle
 
     raw = len(pickle.dumps([_ev(i) for i in range(1024)]))
@@ -402,6 +402,22 @@ def test_sealed_events_read_back_with_their_own_keys(tmp_path):
     meta = r.checkpoint()
     r2 = make(tmp_path, chunk_events=4)
     r2.load(meta)
+    for res in (r, r2):
+        out = []
+        res.iterator().advance_until(10**9, out)
+        assert out == events
+
+
+def test_events_with_keys_that_do_not_sort_read_back(tmp_path):
+    """A chunk whose events' keys mix types (an int key beside the str
+    ones) seals, and reads back equal from disk and after a load."""
+    events = [{"id": 0, "ts": 0, "v": 1.0}, {"id": 1, "ts": 10, "v": 2.0, 7: "x"},
+              {"id": 2, "ts": 20, "v": 3.0}, {"id": 3, "ts": 30, "v": 4.0}]
+    r = make(tmp_path, chunk_events=2)
+    assert [r.append(dict(e)) for e in events] == ["ok"] * 4
+    assert r.sealed_chunks() == 2
+    r2 = make(tmp_path, chunk_events=2)
+    r2.load(r.checkpoint())
     for res in (r, r2):
         out = []
         res.iterator().advance_until(10**9, out)

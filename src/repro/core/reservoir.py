@@ -88,7 +88,6 @@ class _PrefetchCache:
         self._d: OrderedDict[int, list[Event]] = OrderedDict()
         self._pending: dict[int, int] = {}  # outstanding reservations
         self.hits = 0
-        self.evictions = 0
 
     def reserve(self, chunk_id: int) -> bool:
         """Piggyback on an already-prefetched chunk (no extra slot/load).
@@ -125,7 +124,6 @@ class _PrefetchCache:
         while len(self._d) >= self.capacity:
             old, _ = self._d.popitem(last=False)
             self._pending.pop(old, None)
-            self.evictions += 1
         self._d[chunk_id] = events
         self._pending[chunk_id] = 1
 
@@ -401,7 +399,6 @@ class EventReservoir:
         self.prefetch_loads = 0
         self.recent_hits = 0
         self.cache.hits = 0
-        self.cache.evictions = 0
 
     def take_costs(self) -> tuple[float, float]:
         """Return and reset ``(0.0, seconds in prefetch loads)`` since the

@@ -77,7 +77,15 @@ class TaskProcessor:
                    for e in events)
 
     def warm_up(self, now_ts: int) -> None:
-        """Advance the plan over prefilled history in one batched pass."""
+        """Advance the plan over prefilled history in one batched pass.
+
+        ``now_ts`` must not pass the watermark: the tails would evict
+        events still inside the windows at the watermark, and nothing
+        re-adds them.
+        """
+        wm = self.reservoir.watermark
+        if wm is not None and now_ts > wm:
+            raise ValueError(f"warm_up at {now_ts} is past the watermark {wm}")
         self.plan.advance(now_ts)
 
     def warm_start(self, history, now_ts: int) -> None:

@@ -1,11 +1,12 @@
 """Railgun node layers: front-end and processor units (paper §3.1–§3.2).
 
-The **front-end** receives a client event, publishes one message per
-stream *partitioner* (top-level group-by) to that partitioner's topic
-(steps 1–2 of Fig 3), then collects the per-topic aggregation replies
-from its dedicated reply topic and answers the client with the merged
-result (steps 5–6). It takes one reply per (event, topic), so the
-replies of a task replaying its log after a failure are dropped.
+The **front-end** receives a client event, publishes it as one message to
+the topic of every stream *partitioner* (top-level group-by) (steps 1–2
+of Fig 3), then collects the per-topic aggregation replies, each an
+``(event id, topic, answers)`` tuple, from its dedicated reply topic and
+answers the client with the merged result (steps 5–6). It takes one
+reply per (event, topic), so the replies of a task replaying its log
+after a failure are dropped.
 
 A **processor unit** runs Algorithm 1: it polls its *active* tasks first,
 then its *replica* tasks, forwards messages to the owning task processor,
@@ -40,21 +41,20 @@ class FrontEnd:
     def send(self, stream: str, partitioners: list[str], event: dict) -> None:
         """Steps 1–2 of Fig 3: route the event to every partitioner topic."""
         self._waiting[event["id"]] = ({f"{stream}.{p}" for p in partitioners}, {})
+        msg = dict(event, _reply_to=self.reply_topic)  # shared, never mutated
         for part_field in partitioners:
-            topic = f"{stream}.{part_field}"
-            msg = dict(event, _reply_to=self.reply_topic)
-            self.kafka.produce(topic, key=event[part_field], value=msg)
+            self.kafka.produce(f"{stream}.{part_field}", key=event[part_field], value=msg)
 
     def poll_replies(self) -> None:
         """Steps 5–6: collect per-topic answers; merge when all arrived."""
-        for rec in self.kafka.fetch(self.reply_topic, 0, self._reply_offset, 10_000):
+        for eid, topic, answers in self.kafka.fetch(
+                self.reply_topic, 0, self._reply_offset, 10_000):
             self._reply_offset += 1
-            eid, topic = rec.value["event_id"], rec.value["topic"]
             missing, merged = self._waiting.get(eid, ((), None))
             if topic not in missing:
                 continue  # a replay: the event is done or this topic answered
             missing.remove(topic)
-            merged.update(rec.value["answers"])
+            merged.update(answers)
             if not missing:
                 self.completed[eid] = self._waiting.pop(eid)[1]
 
@@ -119,14 +119,10 @@ class ProcessorUnit:
                 continue
             topic, p = task
             start = 0 if tp.last_offset is None else tp.last_offset + 1
-            for rec in self.kafka.fetch(topic, p, start, max_records):
-                answers = tp.process(rec.value, offset=rec.offset)
+            for off, msg in enumerate(self.kafka.fetch(topic, p, start, max_records), start):
+                answers = tp.process(msg, offset=off)
                 n += 1
                 if task in self.active:
-                    self.kafka.produce(
-                        rec.value["_reply_to"],
-                        key=rec.value["id"],
-                        value={"event_id": rec.value["id"], "topic": topic,
-                               "answers": answers},
-                    )
+                    self.kafka.produce(msg["_reply_to"], key=msg["id"],
+                                       value=(msg["id"], topic, answers))
         return n

@@ -8,7 +8,7 @@ lives in :mod:`repro.kafka.assignment`. Membership is the cluster's own
 list of live processor units, and a consumer's position is the offset it
 tracks itself (see :mod:`repro.engine.node`).
 """
-from .log import MiniKafka, Record
+from .log import MiniKafka
 from .assignment import sticky_assign, AssignmentInput
 
-__all__ = ["MiniKafka", "Record", "sticky_assign", "AssignmentInput"]
+__all__ = ["MiniKafka", "sticky_assign", "AssignmentInput"]

@@ -9,11 +9,16 @@ Provides the exact properties the paper needs from Kafka (§3.3):
 - pull-based consumption: consumers fetch from an offset they track, so a
   recovering node can rewind the stream and replay unprocessed messages
   without slowing anyone else down.
+
+A partition is a plain list of message values, and a message's offset is
+its index in that list: a message has no id of its own. Produced values
+are shared, never copied: the front end produces one object to every
+partitioner topic, and no consumer mutates what it fetches (a task
+processor stores a copy of each event).
 """
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
 from typing import Any
 
 
@@ -22,29 +27,11 @@ def stable_hash(key: Any) -> int:
     return zlib.crc32(repr(key).encode())
 
 
-@dataclass(frozen=True)
-class Record:
-    """One message in a partition log."""
-
-    offset: int
-    value: Any
-
-
-@dataclass
-class _Partition:
-    records: list[Record] = field(default_factory=list)
-
-    def append(self, value: Any) -> int:
-        off = len(self.records)
-        self.records.append(Record(off, value))
-        return off
-
-
 class MiniKafka:
     """The broker cluster: topics → partitions → append-only logs."""
 
     def __init__(self) -> None:
-        self._topics: dict[str, list[_Partition]] = {}
+        self._topics: dict[str, list[list[Any]]] = {}
 
     # -- topic management --------------------------------------------------
 
@@ -53,7 +40,7 @@ class MiniKafka:
             raise ValueError(f"topic {name!r} already exists")
         if partitions < 1:
             raise ValueError("partitions must be >= 1")
-        self._topics[name] = [_Partition() for _ in range(partitions)]
+        self._topics[name] = [[] for _ in range(partitions)]
 
     def topics(self) -> list[str]:
         return sorted(self._topics)
@@ -71,13 +58,15 @@ class MiniKafka:
         """
         parts = self._topics[topic]
         p = stable_hash(key) % len(parts)
-        return p, parts[p].append(value)
+        log = parts[p]
+        log.append(value)
+        return p, len(log) - 1
 
     def fetch(
         self, topic: str, partition: int, offset: int, max_records: int = 500
-    ) -> list[Record]:
-        log = self._topics[topic][partition].records
-        return log[offset: offset + max_records]
+    ) -> list[Any]:
+        """The values at offsets ``offset`` … ``offset + max_records - 1``."""
+        return self._topics[topic][partition][offset: offset + max_records]
 
     def end_offset(self, topic: str, partition: int) -> int:
-        return len(self._topics[topic][partition].records)
+        return len(self._topics[topic][partition])

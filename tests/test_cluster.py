@@ -230,8 +230,7 @@ def test_front_end_counts_each_topic_once():
     fe.send("s", ["a", "b"], {"id": "x", "ts": 1, "a": 1, "b": 2})
 
     def reply(topic, answers):
-        kafka.produce(fe.reply_topic, key="x",
-                      value={"event_id": "x", "topic": topic, "answers": answers})
+        kafka.produce(fe.reply_topic, key="x", value=("x", topic, answers))
 
     reply("s.a", {"m1": 1})
     reply("s.a", {"m1": 1})  # the same task again, after a replay
@@ -240,6 +239,30 @@ def test_front_end_counts_each_topic_once():
     reply("s.b", {"m2": 2})
     fe.poll_replies()
     assert fe.completed == {"x": {"m1": 1, "m2": 2}}
+
+
+def test_one_message_is_shared_by_every_partitioner_topic_and_never_mutated(tmp_path):
+    """The front end produces one object per event to every partitioner
+    topic; a late event whose ts the reservoir rewrites keeps its original
+    ts in the log, so a replay sees what the client sent."""
+    c = RailgunCluster(str(tmp_path), n_nodes=1, units_per_node=1, replication=1,
+                       reservoir_kwargs={"chunk_events": 2, "cache_chunks": 4,
+                                         "out_of_order": "rewrite"})
+    c.register_stream("payments", [Q1, Q2], partitions=1)
+    events = [{"id": f"e{i}", "ts": 1_000 * i, "card_id": 1, "merchant_id": 1,
+               "amount": 1.0} for i in range(1, 200)]
+    late = {"id": "late", "ts": 500, "card_id": 1, "merchant_id": 1, "amount": 1.0}
+    for e in events + [late]:
+        c.send("payments", e)
+    rewritten = [tp.reservoir.rewritten_late for u in c.units.values()
+                 for tp in u.task_processors.values()]
+    assert rewritten == [1, 1]
+    fe = c.frontends[c.nodes[0]]
+    card, merchant = (c.kafka.fetch(f"payments.{p}", 0, len(events), 10)
+                      for p in ("card_id", "merchant_id"))
+    assert len(card) == len(merchant) == 1
+    assert card[0] is merchant[0]
+    assert card[0] == dict(late, _reply_to=fe.reply_topic)
 
 
 def test_a_gained_copy_replays_nothing_past_a_stale_holder(tmp_path):
@@ -303,6 +326,6 @@ def test_every_copy_keeps_one_chunk_layout_under_late_input(tmp_path):
                     for r in holders}) == 1, t
         solo = TaskProcessor("solo", stmts, str(tmp_path / f"{t[0]}-{t[1]}"),
                              reservoir_kwargs=kw)
-        for rec in c.kafka.fetch(*t, 0, 10_000):
-            expect = solo.process(rec.value)
-            assert {k: answers[rec.value["id"]][k] for k in expect} == expect
+        for msg in c.kafka.fetch(*t, 0, 10_000):
+            expect = solo.process(msg)
+            assert {k: answers[msg["id"]][k] for k in expect} == expect

@@ -30,12 +30,11 @@ def test_keyed_produce_is_sticky_per_key():
 def test_fetch_by_offset_and_replay():
     k = MiniKafka()
     k.create_topic("t", 1)
-    for i in range(10):
-        k.produce("t", key="k", value=i)
-    assert [r.value for r in k.fetch("t", 0, 0, 4)] == [0, 1, 2, 3]
-    assert [r.value for r in k.fetch("t", 0, 7)] == [7, 8, 9]  # rewind/replay
+    assert [k.produce("t", key="k", value=i) for i in range(10)] == [
+        (0, i) for i in range(10)]
+    assert k.fetch("t", 0, 0, 4) == [0, 1, 2, 3]
+    assert k.fetch("t", 0, 7) == [7, 8, 9]  # rewind/replay
     assert k.end_offset("t", 0) == 10
-    assert [r.offset for r in k.fetch("t", 0, 0, 3)] == [0, 1, 2]
 
 
 def test_stable_hash_is_deterministic():

@@ -270,6 +270,23 @@ def test_prefill_and_warm_up_give_live_tail(tmp_path):
     assert ans[name] == 60
 
 
+def test_warm_up_past_the_watermark_raises_and_moves_nothing(tmp_path):
+    """Advancing past the watermark would evict events still inside the
+    window at the watermark; warm_up refuses before any iterator moves."""
+    tp = make_tp(tmp_path, ["SELECT count(amount), sum(amount) FROM payments "
+                            "GROUP BY card_id OVER sliding 10 seconds"],
+                 chunk_events=4)
+    count, total = (leaf.metric.name for leaf in tp.plan.leaves)
+    tp.prefill({"id": f"h{i}", "ts": i * 1000, "card_id": 1, "merchant_id": 1,
+                "amount": 1.0} for i in range(1, 11))
+    with pytest.raises(ValueError):
+        tp.warm_up(20_000)
+    tp.warm_up(10_000)
+    ans = tp.process({"id": "x", "ts": 10_500, "card_id": 1,
+                      "merchant_id": 1, "amount": 1.0})
+    assert (ans[count], ans[total]) == (11, 11.0)
+
+
 def _reference(agg, vals):
     """Brute-force value of one aggregation over a window's values, in order."""
     if agg == "count":

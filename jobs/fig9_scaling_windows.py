@@ -13,16 +13,19 @@ import tempfile
 sys.path.insert(0, __file__.rsplit("/", 1)[0])
 from _session import get_spark  # noqa: E402
 
-from repro.bench.fig9 import fig9_table, run_fig9a, run_fig9b  # noqa: E402
+from repro.bench.fig9 import (  # noqa: E402
+    CACHE_CHUNKS, RATE_HZ_A, RATE_HZ_B, fig9_table, run_fig9a, run_fig9b,
+)
 
 
 def main() -> None:
     spark = get_spark("fig9-scaling-windows")
-    print("\n=== T2 (Fig 9a): window size sweep @ 500 ev/s ===")
+    print(f"\n=== T2 (Fig 9a): window size sweep @ {RATE_HZ_A:g} ev/s ===")
     a = fig9_table(run_fig9a(tempfile.mkdtemp(prefix="fig9a-")))
     spark.createDataFrame(a).show(truncate=False)
 
-    print("=== T3 (Fig 9b): iterator sweep (cache = 220 chunks) @ 125 ev/s ===")
+    print(f"=== T3 (Fig 9b): iterator sweep (cache = {CACHE_CHUNKS} chunks) "
+          f"@ {RATE_HZ_B:g} ev/s ===")
     b = fig9_table(run_fig9b(tempfile.mkdtemp(prefix="fig9b-")))
     spark.createDataFrame(b).show(truncate=False)
     spark.stop()

@@ -82,7 +82,6 @@ def run_fig8(
         rtt = KafkaRTTModel()
     events = make_events(n_events, seed)
     history = make_history(seed)
-    now_ts = int(history["ts"].max())
     results = []
     tp = TaskProcessor(
         "bench-task",
@@ -91,8 +90,7 @@ def run_fig8(
         os.path.join(data_dir, "railgun"),
         reservoir_kwargs={"chunk_events": 512, "cache_chunks": 64},
     )
-    tp.prefill(history.to_dict("records"))
-    tp.warm_start(history, now_ts)
+    tp.warm_start(history)
     results.append(
         run_engine(
             tp, "railgun (sliding 60min)", events, rate_hz=RATE_HZ,

@@ -2,10 +2,11 @@
 
 (a) Same metric as §5.1 but the sliding window size sweeps 5 min → 7 days.
     Methodology per the paper: start *after a data checkpoint load* so the
-    tail iterator is live from the first event — we prefill the tail's
-    traversal region (plus warm-start the aggregate state) and then
-    measure steady state. Expected: latency and memory independent of the
-    window size (every window costs two iterators, period).
+    tail iterator is live from the first event — ``warm_start`` loads the
+    tail's traversal region and builds the aggregate state at its last
+    ts, and we then measure steady state. Expected: latency and memory
+    independent of the window size (every window costs two iterators,
+    period).
 
 (b) Three metrics (sum/avg/count of amount by card) over N deliberately
     *misaligned* windows (distinct sizes and delays ⇒ no iterator
@@ -107,8 +108,7 @@ def _run_case(
         reservoir_kwargs={"chunk_events": CHUNK_EVENTS, "cache_chunks": CACHE_CHUNKS},
     )
     hist = _tail_history(events[-1]["ts"], offsets_ms, seed, rate_hz)
-    tp.prefill(hist.to_dict("records"))
-    tp.warm_start(hist, now_ts=0)
+    tp.warm_start(hist)
     for e in events[:WARM_EVENTS]:
         tp.process(e)
     tp.reservoir.reset_stats()
@@ -152,8 +152,8 @@ def run_fig9a(
 def _fig9b_statements(n_windows: int) -> tuple[list[str], list[int]]:
     """N misaligned windows × 3 metrics; returns (statements, offsets)."""
     statements, offsets = [], []
-    # spacing: a chunk spans 256 events / 125 ev/s ≈ 2 s, so steps of 16 s
-    # (size) and 8 s (delay) keep every iterator ≥ 3 chunks from its
+    # spacing: a chunk spans 256 events / 100 ev/s = 2.56 s, so steps of
+    # 16 s (size) and 8 s (delay) keep every iterator ≥ 3 chunks from its
     # neighbours — 2N genuinely distinct chunk streams, as in the paper
     for i in range(n_windows):
         size = 150 * SECOND + i * 16 * SECOND

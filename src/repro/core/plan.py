@@ -216,6 +216,18 @@ class TaskPlan:
             for wnode in wnodes:
                 wnode.advance(t_eval, arrivals)
 
+    def seek(self, t_eval: int | None) -> None:
+        """Seek every window's head and tail to its bounds at ``t_eval``,
+        in any chunk, not by scanning: the windows' state was loaded, not
+        built by advancing. ``None`` (an empty reservoir) moves nothing."""
+        if t_eval is None:
+            return
+        for wnode in self.windows.values():
+            lo, hi = wnode.spec.bounds(t_eval)
+            wnode.head.seek_after(hi)
+            if wnode.tail is not None:
+                wnode.tail.seek_after(lo)
+
     def answers(self, event: Event) -> dict[str, Any]:
         """Current aggregate values for the arriving event's entities: one
         record per GroupBy, the one the last advance put if there is one."""

@@ -9,7 +9,9 @@ answer with the arriving event's aggregates.
 Checkpointing (§4.1.3) synchronizes the reservoir and the state store:
 ``checkpoint()`` copies the reservoir's in-memory chunks (it closes
 none), flushes state, and records the last processed offset so a
-recovering processor can copy the files and replay the delta.
+recovering processor can copy the files and replay the delta. Loading
+anchors every window at the reservoir's watermark: ``recover`` and
+``warm_start`` install state and seek there, ``warm_up`` replays.
 """
 from __future__ import annotations
 
@@ -88,29 +90,36 @@ class TaskProcessor:
             raise ValueError(f"warm_up at {now_ts} is past the watermark {wm}")
         self.plan.advance(now_ts)
 
-    def warm_start(self, history, now_ts: int) -> None:
-        """Vectorized checkpoint load (§5.2 methodology).
+    def warm_start(self, history) -> None:
+        """Vectorized checkpoint load (§5.2 methodology) into an empty task.
 
-        ``history`` is the pandas DataFrame of the events already
-        ``prefill``-ed into the reservoir. Builds each leaf's per-entity
-        aggregate state directly with pandas groupbys (instead of
-        replaying events one by one), then seeks every window iterator to
-        its steady-state position. Supports the decomposable aggregations
-        (sum/count/avg/stdDev); metrics needing event order (min/max/
-        last/prev) must warm up via :meth:`warm_up`. Every metric is
-        checked before any state is written.
+        ``history`` is a pandas DataFrame of events in ts order with
+        unique ids. Prefills them, builds each leaf's per-entity aggregate
+        state over its window at the watermark directly with pandas
+        groupbys (instead of replaying events one by one), then seeks
+        every window iterator there, as :meth:`recover` does. Supports the
+        decomposable aggregations (sum/count/avg/stdDev); metrics needing
+        event order (min/max/last/prev) must warm up via :meth:`warm_up`.
+        Every metric is checked before any event or state is written.
         """
+        if self.reservoir.total_events:
+            raise ValueError("warm_start loads an empty task")
         for leaf in self.plan.leaves:
             if leaf.metric.filter_sql is not None:
                 raise ValueError("warm_start does not support filtered metrics")
             if leaf.metric.agg not in FROM_MOMENTS:
                 raise ValueError(f"warm_start does not support {leaf.metric.agg!r}")
+        self.prefill(history.to_dict("records"))
+        wm = self.reservoir.watermark
+        if wm is None:
+            return  # an empty history loads nothing
         states = {}
         for leaf in self.plan.leaves:
-            lo, hi = leaf.metric.window.bounds(now_ts)
+            lo, hi = leaf.metric.window.bounds(wm)
             sub = history[(history["ts"] > lo) & (history["ts"] <= hi)]
             gb = list(leaf.metric.group_by)
-            g = sub.groupby(gb[0] if len(gb) == 1 else gb)[leaf.metric.agg_field].agg(
+            field = "ts" if leaf.metric.agg_field == "*" else leaf.metric.agg_field
+            g = sub.groupby(gb[0] if len(gb) == 1 else gb)[field].agg(
                 ["count", "sum", "var"]
             )
             m2 = g["var"].fillna(0.0) * (g["count"] - 1)
@@ -119,7 +128,7 @@ class TaskProcessor:
                 for key, n, s, v in zip(g.index.tolist(), g["count"], g["sum"], m2)
             }
         self.plan.put_states(states)
-        self._position_iterators(now_ts)
+        self.plan.seek(wm)
 
     # -- accounting ------------------------------------------------------------
 
@@ -172,23 +181,8 @@ class TaskProcessor:
         state_copy = shutil.copy(ckpt["state_path"], tp.store.dir)
         tp.store.load(state_copy)
         tp.last_offset = ckpt["last_offset"]
-        if tp.reservoir.watermark is not None:
-            # the copied state holds the windows at the watermark
-            tp._position_iterators(tp.reservoir.watermark)
+        tp.plan.seek(tp.reservoir.watermark)
         return tp
-
-    def _position_iterators(self, now_ts: int) -> None:
-        """Seek every window's head and tail to its bounds at ``now_ts``.
-
-        Used when aggregate state was loaded directly instead of being
-        built by advancing: heads seek past ``hi`` and tails past ``lo``,
-        in any chunk, not by scanning.
-        """
-        for wnode in self.plan.windows.values():
-            lo, hi = wnode.spec.bounds(now_ts)
-            wnode.head.seek_after(hi)
-            if wnode.tail is not None:
-                wnode.tail.seek_after(lo)
 
     def close(self) -> None:
         self.reservoir.close()

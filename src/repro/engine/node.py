@@ -1,12 +1,12 @@
 """Railgun node layers: front-end and processor units (paper §3.1–§3.2).
 
-The **front-end** receives a client event, publishes it as one message to
-the topic of every stream *partitioner* (top-level group-by) (steps 1–2
-of Fig 3), then collects the per-topic aggregation replies, each an
-``(event id, topic, answers)`` tuple, from its dedicated reply topic and
-answers the client with the merged result (steps 5–6). It takes one
-reply per (event, topic), so the replies of a task replaying its log
-after a failure are dropped.
+The **front-end** receives a client event, publishes it unchanged as one
+``(reply topic, event)`` message to the topic of every stream
+*partitioner* (top-level group-by) (steps 1–2 of Fig 3), then collects
+the per-topic aggregation replies, each an ``(event id, topic, answers)``
+tuple, from its dedicated reply topic and answers the client with the
+merged result (steps 5–6). It takes one reply per (event, topic), so the
+replies of a task replaying its log after a failure are dropped.
 
 A **processor unit** runs Algorithm 1: it polls its *active* tasks first,
 then its *replica* tasks, forwards messages to the owning task processor,
@@ -23,6 +23,7 @@ from ..core.task import TaskProcessor
 from ..kafka import MiniKafka
 
 Task = tuple[str, int]  # (topic, partition)
+POLL_RECORDS = 200  # messages fetched per task per poll_step
 
 
 class FrontEnd:
@@ -41,7 +42,7 @@ class FrontEnd:
     def send(self, stream: str, partitioners: list[str], event: dict) -> None:
         """Steps 1–2 of Fig 3: route the event to every partitioner topic."""
         self._waiting[event["id"]] = ({f"{stream}.{p}" for p in partitioners}, {})
-        msg = dict(event, _reply_to=self.reply_topic)  # shared, never mutated
+        msg = (self.reply_topic, dict(event))  # shared, never mutated
         for part_field in partitioners:
             self.kafka.produce(f"{stream}.{part_field}", key=event[part_field], value=msg)
 
@@ -93,36 +94,29 @@ class ProcessorUnit:
         """
         if task in self.task_processors:
             return
-        if recovery_ckpt is not None:
-            tp = TaskProcessor.recover(
-                recovery_ckpt, statements, self._task_dir(task),
-                reservoir_kwargs=dict(self.reservoir_kwargs),
-            )
-        else:
-            tp = TaskProcessor(
-                f"{task[0]}-{task[1]}", statements, self._task_dir(task),
-                reservoir_kwargs=dict(self.reservoir_kwargs),
-            )
-        self.task_processors[task] = tp
+        args = (statements, self._task_dir(task))
+        kw = {"reservoir_kwargs": dict(self.reservoir_kwargs)}
+        self.task_processors[task] = (
+            TaskProcessor(f"{task[0]}-{task[1]}", *args, **kw) if recovery_ckpt is None
+            else TaskProcessor.recover(recovery_ckpt, *args, **kw))
 
     # -- Algorithm 1 ----------------------------------------------------------
 
-    def poll_step(self, max_records: int = 200) -> int:
+    def poll_step(self) -> int:
         """One iteration of the processor-unit logical loop. Returns #messages."""
         if not self.alive:
             return 0
         n = 0
         # active tasks are polled (and answered) first — they have priority
         for task in sorted(self.active) + sorted(self.replica):
-            tp = self.task_processors.get(task)
-            if tp is None:
-                continue
+            tp = self.task_processors[task]
             topic, p = task
             start = 0 if tp.last_offset is None else tp.last_offset + 1
-            for off, msg in enumerate(self.kafka.fetch(topic, p, start, max_records), start):
-                answers = tp.process(msg, offset=off)
+            for off, (reply_to, event) in enumerate(
+                    self.kafka.fetch(topic, p, start, POLL_RECORDS), start):
+                answers = tp.process(event, offset=off)
                 n += 1
                 if task in self.active:
-                    self.kafka.produce(msg["_reply_to"], key=msg["id"],
-                                       value=(msg["id"], topic, answers))
+                    self.kafka.produce(reply_to, key=event["id"],
+                                       value=(event["id"], topic, answers))
         return n

@@ -12,9 +12,9 @@ Provides the exact properties the paper needs from Kafka (§3.3):
 
 A partition is a plain list of message values, and a message's offset is
 its index in that list: a message has no id of its own. Produced values
-are shared, never copied: the front end produces one object to every
-partitioner topic, and no consumer mutates what it fetches (a task
-processor stores a copy of each event).
+are shared, never copied: the front end produces one ``(reply topic,
+event)`` tuple to every partitioner topic, and no consumer mutates what
+it fetches (a task processor stores a copy of each event).
 """
 from __future__ import annotations
 

@@ -262,7 +262,24 @@ def test_one_message_is_shared_by_every_partitioner_topic_and_never_mutated(tmp_
                       for p in ("card_id", "merchant_id"))
     assert len(card) == len(merchant) == 1
     assert card[0] is merchant[0]
-    assert card[0] == dict(late, _reply_to=fe.reply_topic)
+    assert card[0] == (fe.reply_topic, late)
+
+
+def test_a_client_field_named_reply_to_reaches_the_task_unchanged(tmp_path):
+    """A message is the pair (reply topic, event): the front end adds no
+    key to the event, so a client field ``_reply_to`` is filtered on as
+    sent and the reservoir stores the event as the client sent it."""
+    c = RailgunCluster(str(tmp_path), n_nodes=1, units_per_node=1, replication=1)
+    c.register_stream("payments", [
+        "SELECT count(amount) FROM payments WHERE _reply_to == 'client' "
+        "GROUP BY card_id OVER sliding 1 minute"], partitions=1)
+    event = {"id": "x", "ts": 1_000, "card_id": 1, "merchant_id": 1,
+             "amount": 1.0, "_reply_to": "client"}
+    assert list(c.send("payments", event).values()) == [1]
+    (tp,) = (tp for u in c.units.values() for tp in u.task_processors.values())
+    stored: list = []
+    tp.reservoir.iterator().advance_until(event["ts"], stored)
+    assert stored == [event]
 
 
 def test_a_gained_copy_replays_nothing_past_a_stale_holder(tmp_path):
@@ -326,6 +343,6 @@ def test_every_copy_keeps_one_chunk_layout_under_late_input(tmp_path):
                     for r in holders}) == 1, t
         solo = TaskProcessor("solo", stmts, str(tmp_path / f"{t[0]}-{t[1]}"),
                              reservoir_kwargs=kw)
-        for msg in c.kafka.fetch(*t, 0, 10_000):
-            expect = solo.process(msg)
-            assert {k: answers[msg["id"]][k] for k in expect} == expect
+        for _, event in c.kafka.fetch(*t, 0, 10_000):
+            expect = solo.process(event)
+            assert {k: answers[event["id"]][k] for k in expect} == expect

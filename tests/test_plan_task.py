@@ -287,6 +287,34 @@ def test_warm_up_past_the_watermark_raises_and_moves_nothing(tmp_path):
     assert (ans[count], ans[total]) == (11, 11.0)
 
 
+def test_warm_start_anchors_at_the_watermark(tmp_path):
+    """warm_start loads the windows at the history's last ts, where
+    recover would resume them: every history event stays in the window.
+    An empty history loads nothing and leaves the task empty."""
+    tp = make_tp(tmp_path, ["SELECT count(amount), sum(amount) FROM payments "
+                            "GROUP BY card_id OVER sliding 10 seconds"],
+                 chunk_events=4)
+    count, total = (leaf.metric.name for leaf in tp.plan.leaves)
+    tp.warm_start(pd.DataFrame(columns=["id", "ts", "card_id", "merchant_id", "amount"]))
+    tp.warm_start(pd.DataFrame({"id": f"h{i}", "ts": i * 1000, "card_id": 1,
+                                "merchant_id": 1, "amount": 1.0} for i in range(1, 11)))
+    ans = tp.process({"id": "x", "ts": 10_500, "card_id": 1,
+                      "merchant_id": 1, "amount": 1.0})
+    assert (ans[count], ans[total]) == (11, 11.0)
+
+
+def test_warm_start_into_a_non_empty_task_raises_and_stores_nothing(tmp_path):
+    """The loaded state would miss the events already stored."""
+    tp = make_tp(tmp_path, ["SELECT sum(amount) FROM payments "
+                            "GROUP BY card_id OVER sliding 1 minute"])
+    events = _payments(n=20)
+    tp.process(events[0])
+    keys = len(tp.store)
+    with pytest.raises(ValueError, match="empty task"):
+        tp.warm_start(pd.DataFrame(events[1:]))
+    assert (tp.reservoir.total_events, len(tp.store)) == (1, keys)
+
+
 def _reference(agg, vals):
     """Brute-force value of one aggregation over a window's values, in order."""
     if agg == "count":
@@ -327,22 +355,23 @@ def test_warm_up_matches_brute_force_and_warm_start(tmp_path):
 
     aggs = ("sum", "avg", "count", "min", "max", "stdDev", "last", "prev")
     tp = make_tp(tmp_path, sqls(
-        ", ".join(f"{a}(amount)" for a in aggs) + ", countDistinct(merchant_id)"
+        ", ".join(f"{a}(amount)" for a in aggs)
+        + ", countDistinct(merchant_id), count(*)"
     ))
     tp.prefill(hist)
     tp.warm_up(now)
     start = TaskProcessor(
-        "start", sqls("sum(amount), avg(amount), count(amount), stdDev(amount)"),
+        "start", sqls("sum(amount), avg(amount), count(amount), stdDev(amount), count(*)"),
         str(tmp_path / "start"), reservoir_kwargs={"chunk_events": 32},
     )
-    start.prefill(hist)
-    start.warm_start(pd.DataFrame(hist), now)
+    start.warm_start(pd.DataFrame(hist))
     for i in range(len(hist), len(events)):
         ans = tp.process(events[i])
         for leaf in tp.plan.leaves:
             m = leaf.metric
             vals = _brute(events, i, key="card_id", window_ms=m.window.size_ms,
-                          field=m.agg_field, delay_ms=m.window.delay_ms)
+                          field="ts" if m.agg_field == "*" else m.agg_field,
+                          delay_ms=m.window.delay_ms)
             _assert_answer(ans[m.name], _reference(m.agg, vals), (i, m.name))
         for name, got in start.process(events[i]).items():
             _assert_answer(got, ans[name], (i, name, "warm_start"))
@@ -358,10 +387,9 @@ def test_rejected_warm_start_writes_nothing(tmp_path):
             f"SELECT {select} FROM payments {where}GROUP BY card_id "
             "OVER sliding 2 minutes",
         ])
-        tp.prefill(events)
         with pytest.raises(ValueError, match="warm_start does not support"):
-            tp.warm_start(pd.DataFrame(events), events[-1]["ts"])
-        assert len(tp.store) == 0
+            tp.warm_start(pd.DataFrame(events))
+        assert (len(tp.store), tp.reservoir.total_events) == (0, 0)
 
 
 ALL_AGGS = ("sum(amount), avg(amount), count(amount), stdDev(amount), max(amount), "

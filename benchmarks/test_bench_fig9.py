@@ -4,13 +4,16 @@
 tables (CSV under ``benchmarks/results/`` unless benchmarks are
 disabled); the micro-benchmarks time the reservoir primitives (append,
 sequential iteration with prefetch, demand load, chunk seal) that make
-the window-size independence possible.
+the window-size independence possible, and the plan layer's per-event
+work over many windows.
 """
+import itertools
 import random
 import tempfile
 
 from repro.bench.fig9 import fig9_table, run_fig9a, run_fig9b
 from repro.core.reservoir import EventReservoir
+from repro.core.task import TaskProcessor
 
 from . import save_table
 
@@ -110,3 +113,33 @@ def test_micro_chunk_seal(benchmark):
 
     benchmark.pedantic(r._seal, setup=stage, rounds=30, iterations=1, warmup_rounds=2)
     assert r._load_sealed(0) == events
+
+
+def test_micro_plan_advance(benchmark, tmp_path):
+    """The plan layer per event: ``process()`` on a warmed task with six
+    misaligned windows x all nine aggregations by card, where each event
+    arrives in every window and about one expires from each."""
+    aggs = ("sum(amount), avg(amount), count(amount), stdDev(amount), max(amount), "
+            "min(amount), last(amount), prev(amount), countDistinct(merchant_id)")
+    tp = TaskProcessor("micro-plan", [
+        f"SELECT {aggs} FROM payments GROUP BY card_id "
+        f"OVER sliding {5 + 2 * i} seconds delayed by {i} seconds" for i in range(6)
+    ], str(tmp_path), reservoir_kwargs={"chunk_events": 256, "cache_chunks": 64})
+    rng = random.Random(3)
+    ids = itertools.count()
+
+    def batch():  # the next 100 events, at 100 ev/s over 50 cards
+        return ([{"id": i, "ts": i * 10, "card_id": rng.randrange(50),
+                  "merchant_id": rng.randrange(20), "amount": float(rng.randrange(1, 10_000))}
+                 for i in itertools.islice(ids, 100)],), {}
+
+    def process_all(events):
+        return [tp.process(e) for e in events]
+
+    for _ in range(25):  # 25 s of events: every window is full
+        process_all(*batch()[0])
+    answers = benchmark.pedantic(process_all, setup=batch, rounds=30, iterations=1,
+                                 warmup_rounds=2)
+    assert len(answers) == 100 and all(len(a) == 6 * 9 for a in answers)
+    assert tp.stats()["iterators"] == 6 + 6  # one head per delay, one tail per window
+    tp.close()

@@ -13,9 +13,10 @@ need no tie-break: a window's tail evicts all events of one ts at once.
 
 States: sum and avg ``[s, n]``; count ``[n]``; stdDev ``[n, mean, m2]``
 (Welford's online algorithm, paper ref [50], evicted by the reverse
-step); max, min, last and prev a list of ``(ts, value)`` pairs;
-countDistinct ``[n, counts]``, ``counts`` a value→multiplicity mapping
-(the task plan passes in its dedicated column family, as in the paper).
+step); max and min a list of ``(ts, value)`` pairs; last and prev the
+newest two, as a late event behind the tail is evicted in the batch that
+adds it; countDistinct ``[n, counts]``, ``counts`` a value→multiplicity
+mapping (the task plan passes in its dedicated column family, as in the paper).
 """
 from __future__ import annotations
 
@@ -163,8 +164,7 @@ class Min(Max):
 
 
 class Last(_Queue):
-    """last(field) — most recent value still in the window; the queue
-    keeps every event of the window."""
+    """last(field) — most recent value still in the window."""
 
     name = "last"
 
@@ -174,6 +174,7 @@ class Last(_Queue):
             st.insert(bisect.bisect_right(st, ts, key=_key), (ts, value))
         else:
             st.append((ts, value))
+        del st[:-2]
 
     @staticmethod
     def value(st: list) -> Any:

@@ -5,11 +5,11 @@ shared: metrics with the same window share the Window operator (and its
 reservoir iterators), metrics that additionally share a filter share the
 Filter operator, and so on. Every time the plan advances (a new event
 arrives), each Window operator produces the events that *arrive* and
-*expire* and pushes them down the DAG; the leaves (Aggregator operators)
-update per-entity state. Each GroupBy operator keeps one state-store record
-per entity in its own column family, one plain state slot per leaf (§4.1.3):
-an advance costs one read-modify-write per (GroupBy, touched entity), and
-the answer reuses the record just written.
+*expire* and pushes them down the DAG. Each GroupBy operator keeps one
+state-store record per entity in its own column family, one slot per
+distinct state (§4.1.3; sum/avg and last/prev share): an advance costs one
+read-modify-write per (GroupBy, touched entity), and the answer reuses the
+record just written. A leaf (Aggregator operator) reads its slot.
 
 Iterator sharing (§4.1.1 / Fig 5): window heads are keyed by the window's
 delay (two sliding windows with the same delay share the head iterator
@@ -45,51 +45,51 @@ class _Multiplicities:
 
 
 class AggregatorLeaf:
-    """One metric's Aggregator operator: one slot of its GroupBy's record."""
+    """One metric's Aggregator operator: reads one slot of its GroupBy's record."""
 
-    def __init__(self, metric: MetricSpec, metric_id: int, store: StateStore):
+    def __init__(self, metric: MetricSpec, metric_id: int):
         self.metric = metric
-        self.name = metric.name  # a computed property; answers() reads it per event
+        self.name = metric.name  # a computed property
         self.agg = aggregator(metric.agg)
-        self.store = store
-        self._field_name = None if metric.agg_field == "*" else metric.agg_field
+        self.field = None if metric.agg_field == "*" else metric.agg_field
         # countDistinct's slot is [n]; the multiplicities have their own cf
         self.aux_cf = f"m{metric_id}:distinct" if metric.agg == "countDistinct" else None
-
-    def update(self, st: list, key: Any, adds: list[Event], evicts: list[Event]) -> None:
-        """Apply one entity's arrivals to slot ``st``, then its evictions:
-        arrivals first, as one batch can both add and expire an event."""
-        full = st if self.aux_cf is None else [
-            st[0], _Multiplicities(self.store, self.aux_cf, key)]
-        f, add, evict = self._field_name, self.agg.add, self.agg.evict
-        for e in adds:
-            add(full, e["ts"], 1 if f is None else e.get(f))
-        for e in evicts:
-            evict(full, e["ts"], 1 if f is None else e.get(f))
-        if full is not st:
-            st[0] = full[0]
+        self.slot = -1  # set by GroupByNode.add_leaf
 
 
 class GroupByNode:
     """GroupBy operator: one store record per entity, in this node's own
-    column family, holding one plain state slot per leaf."""
+    column family, holding one plain slot per distinct state: leaves whose
+    ``new``/``add``/``evict`` and field agree share one (sum/avg, last/prev)."""
 
     def __init__(self, fields: tuple[str, ...], gid: int, store: StateStore):
         self.fields = fields
         self.cf = f"g{gid}"
         self.store = store
         self.leaves: list[AggregatorLeaf] = []
+        self._slots: dict[tuple, int] = {}  # (new, add, evict, field, aux_cf) → slot
+        # per slot, (add, field, slot, aux_cf) and (evict, field, slot, aux_cf)
+        self._updates: tuple[list[tuple], list[tuple]] = ([], [])
+        self.reads: list[tuple[str, Callable, int]] = []  # per leaf: (name, value, slot)
         # entity → record this node put during the current advance; between
         # advances the plan is the only writer of its column families
         self.written: dict[Any, list] = {}
         self._gb1 = fields[0] if len(fields) == 1 else None
 
     def add_leaf(self, leaf: AggregatorLeaf) -> None:
+        a = leaf.agg
+        state = (a.new, a.add, a.evict, leaf.field, leaf.aux_cf)
+        if state not in self._slots:
+            slot = self._slots[state] = len(self._slots)
+            for updates, fn in zip(self._updates, (a.add, a.evict)):
+                updates.append((fn, leaf.field, slot, leaf.aux_cf))
+        leaf.slot = self._slots[state]
         self.leaves.append(leaf)
+        self.reads.append((leaf.name, a.value, leaf.slot))
         self.empty = self.new_record()
 
     def new_record(self) -> list:
-        return [[0] if leaf.aux_cf else leaf.agg.new() for leaf in self.leaves]
+        return [[0] if aux else new() for new, _, _, _, aux in self._slots]
 
     def key(self, e: Event) -> Any:
         if self._gb1 is not None:
@@ -97,24 +97,33 @@ class GroupByNode:
         return tuple(e.get(g) for g in self.fields)
 
     def apply(self, arrivals: list[Event], evictions: list[Event]) -> None:
-        """One read-modify-write per touched entity; a record whose every
-        slot is empty again is deleted, so the store holds only entities
-        inside some window."""
-        by_key: dict[Any, tuple[list, list]] = {}
-        for e in arrivals:
-            by_key.setdefault(self.key(e), ([], []))[0].append(e)
-        for e in evictions:
-            by_key.setdefault(self.key(e), ([], []))[1].append(e)
-        store, cf = self.store, self.cf
-        for k, (adds, evicts) in by_key.items():
-            rec = store.get(k, cf) or self.new_record()
-            for leaf, st in zip(self.leaves, rec):
-                leaf.update(st, k, adds, evicts)
+        """One read-modify-write per touched entity: every slot takes its
+        arrivals, then its evictions (a batch can add and expire one event).
+        A record whose every slot is empty again is deleted, so the store
+        holds only entities inside some window."""
+        store, cf, key = self.store, self.cf, self.key
+        recs: dict[Any, list] = {}
+        for events, updates in zip((arrivals, evictions), self._updates):
+            for e in events:
+                k = key(e)
+                rec = recs.get(k)
+                if rec is None:
+                    rec = recs[k] = store.get(k, cf) or self.new_record()
+                ts = e["ts"]
+                for update, f, i, aux in updates:
+                    v = 1 if f is None else e.get(f)
+                    if aux is None:
+                        update(rec[i], ts, v)
+                    else:  # countDistinct: [n] plus the multiplicities' cf
+                        st = [rec[i][0], _Multiplicities(store, aux, k)]
+                        update(st, ts, v)
+                        rec[i][0] = st[0]
+        for k, rec in recs.items():
             if rec == self.empty:
                 store.delete(k, cf)
             else:
                 store.put(k, rec, cf)
-            self.written[k] = rec
+        self.written.update(recs)
 
 
 class FilterNode:
@@ -126,14 +135,13 @@ class FilterNode:
         if self.predicate is not None:
             arrivals = [e for e in arrivals if self.predicate(e)]
             evictions = [e for e in evictions if self.predicate(e)]
-        if not arrivals and not evictions:
-            return
         for gb in self.group_bys.values():
             gb.apply(arrivals, evictions)
 
 
 class WindowNode:
-    """Window operator: advances head/tail iterators, emits arrive/expire."""
+    """Window operator: a head and a tail iterator; the plan advances them
+    and pushes what they yield (arrivals, expirations) to the filters."""
 
     def __init__(
         self,
@@ -145,19 +153,6 @@ class WindowNode:
         self.head = head
         self.tail = tail  # None for infinite windows (events never expire)
         self.filters: dict[str | None, FilterNode] = {}
-
-    def advance(self, t_eval: int, arrivals: list[Event]) -> None:
-        """Push precomputed head arrivals + own tail expirations downstream.
-
-        ``arrivals`` comes from the (possibly shared) head iterator, which
-        the plan advances exactly once per unique head.
-        """
-        evictions: list[Event] = []
-        if self.tail is not None:
-            self.tail.advance_until(self.spec.bounds(t_eval)[0], evictions)
-        if arrivals or evictions:
-            for f in self.filters.values():
-                f.apply(arrivals, evictions)
 
 
 class TaskPlan:
@@ -195,7 +190,7 @@ class TaskPlan:
                     gbnode = GroupByNode(metric.group_by, len(self.groupbys), store)
                     fnode.group_bys[metric.group_by] = gbnode
                     self.groupbys.append(gbnode)
-                leaf = AggregatorLeaf(metric, len(self.leaves), store)
+                leaf = AggregatorLeaf(metric, len(self.leaves))
                 gbnode.add_leaf(leaf)
                 self.leaves.append(leaf)
 
@@ -207,14 +202,20 @@ class TaskPlan:
 
     def advance(self, t_eval: int) -> None:
         """Bring every window to its bounds at ``t_eval``: each then holds
-        the events its head has yielded minus those its tail has yielded."""
+        the events its head has yielded minus those its tail has yielded.
+        A head shared by several windows advances once for all of them."""
         for gb in self.groupbys:
             gb.written.clear()
         for delay_ms, (head, wnodes) in self._head_groups.items():
             arrivals: list[Event] = []
             head.advance_until(t_eval - delay_ms, arrivals)
             for wnode in wnodes:
-                wnode.advance(t_eval, arrivals)
+                evictions: list[Event] = []
+                if wnode.tail is not None:
+                    wnode.tail.advance_until(wnode.spec.bounds(t_eval)[0], evictions)
+                if arrivals or evictions:
+                    for f in wnode.filters.values():
+                        f.apply(arrivals, evictions)
 
     def seek(self, t_eval: int | None) -> None:
         """Seek every window's head and tail to its bounds at ``t_eval``,
@@ -235,8 +236,8 @@ class TaskPlan:
         for gb in self.groupbys:
             k = gb.key(event)
             rec = gb.written.get(k) or self.store.get(k, gb.cf) or gb.empty
-            for leaf, st in zip(gb.leaves, rec):
-                out[leaf.name] = leaf.agg.value(st)
+            for name, value, i in gb.reads:
+                out[name] = value(rec[i])
         return out
 
     def put_states(self, states: dict[AggregatorLeaf, dict[Any, list]]) -> None:
@@ -246,8 +247,8 @@ class TaskPlan:
         for gb in self.groupbys:
             gb.written.clear()
             records: dict[Any, list] = {}
-            for i, leaf in enumerate(gb.leaves):
+            for leaf in gb.leaves:
                 for k, st in states[leaf].items():
-                    records.setdefault(k, gb.new_record())[i] = st
+                    records.setdefault(k, gb.new_record())[leaf.slot] = st
             for k, rec in records.items():
                 self.store.put(k, rec, gb.cf)

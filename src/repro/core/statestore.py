@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import pickle
+from collections import defaultdict
 from typing import Any, Iterator
 
 
@@ -26,30 +27,24 @@ class StateStore:
         self.dir = data_dir
         if data_dir:
             os.makedirs(data_dir, exist_ok=True)
-        self._cfs: dict[str, dict[Any, bytes]] = {self.DEFAULT_CF: {}}
+        self._cfs: defaultdict[str, dict[Any, bytes]] = defaultdict(dict)
         self.gets = 0
         self.puts = 0
 
-    def _cf(self, cf: str) -> dict[Any, bytes]:
-        d = self._cfs.get(cf)
-        if d is None:
-            d = self._cfs[cf] = {}
-        return d
-
     def get(self, key: Any, cf: str = DEFAULT_CF) -> Any | None:
         self.gets += 1
-        blob = self._cf(cf).get(key)
+        blob = self._cfs[cf].get(key)
         return None if blob is None else pickle.loads(blob)
 
     def put(self, key: Any, value: Any, cf: str = DEFAULT_CF) -> None:
         self.puts += 1
-        self._cf(cf)[key] = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        self._cfs[cf][key] = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
 
     def delete(self, key: Any, cf: str = DEFAULT_CF) -> None:
-        self._cf(cf).pop(key, None)
+        self._cfs[cf].pop(key, None)
 
     def keys(self, cf: str = DEFAULT_CF) -> Iterator[Any]:
-        return iter(self._cf(cf).keys())
+        return iter(self._cfs[cf].keys())
 
     def __len__(self) -> int:
         return sum(len(d) for d in self._cfs.values())
@@ -68,4 +63,4 @@ class StateStore:
     def load(self, path: str) -> None:
         """Replace this store's contents with a checkpoint file's."""
         with open(path, "rb") as fh:
-            self._cfs = pickle.load(fh)
+            self._cfs = defaultdict(dict, pickle.load(fh))

@@ -3,6 +3,8 @@
 Correctness reference: a brute-force recomputation over all events (and,
 in test_sliding_oracle.py, the DuckDB oracle through the Spark path).
 """
+import pickle
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -425,6 +427,46 @@ def test_one_record_per_entity_per_groupby(tmp_path):
     values = [store.get(k, cf) for cf in cfs for k in store.keys(cf)]
     assert len(values) == len(store) > 0
     assert all(_builtins_only(v) for v in values)
+
+
+def test_leaves_with_one_state_share_a_slot(tmp_path):
+    """Leaves whose aggregations keep the same state over the same field
+    read one slot: sum/avg and last/prev; every other leaf has its own."""
+    tp = make_tp(tmp_path, [
+        f"SELECT {ALL_AGGS} FROM payments GROUP BY card_id OVER sliding 1 minute"])
+    (gb,) = tp.plan.groupbys
+    slots = {leaf.metric.agg: leaf.slot for leaf in gb.leaves}
+    assert slots["sum"] == slots["avg"] and slots["last"] == slots["prev"]
+    others = [slots[a] for a in ("sum", "count", "stdDev", "max", "min", "last",
+                                 "countDistinct")]
+    assert sorted(others) == list(range(7))
+    events = _payments(n=150)
+    for e in events:
+        tp.process(e)
+    records = [tp.store.get(k, gb.cf) for k in tp.store.keys(gb.cf)]
+    assert records and all(len(rec) == 7 and _builtins_only(rec) for rec in records)
+
+
+def test_last_prev_state_does_not_grow_with_the_window(tmp_path):
+    """last/prev keep the newest two (ts, value) pairs per entity, so their
+    stored record is as small under a 60 s window as under a 10 s one."""
+    windows = (10 * SECOND, 60 * SECOND)
+    tp = make_tp(tmp_path, [
+        f"SELECT last(amount), prev(amount) FROM payments GROUP BY card_id "
+        f"OVER sliding {w} ms" for w in windows])
+    events = _payments(n=8_000, n_cards=10, gap_ms=20)  # ~80 s, ~100 ev/s
+    for e in events:
+        ans = tp.process(e)
+    bytes_per_entity = []
+    for gb in tp.plan.groupbys:
+        blobs = [pickle.dumps(tp.store.get(k, gb.cf)) for k in tp.store.keys(gb.cf)]
+        bytes_per_entity.append(sum(map(len, blobs)) / len(blobs))
+    assert bytes_per_entity[1] <= bytes_per_entity[0] * 1.05
+    assert bytes_per_entity[1] < 100
+    for leaf in tp.plan.leaves:
+        vals = _brute(events, len(events) - 1, key="card_id",
+                      window_ms=leaf.metric.window.size_ms)
+        assert ans[leaf.name] == vals[-1 if leaf.metric.agg == "last" else -2]
 
 
 def test_state_drifts_to_empty_after_a_quiet_gap(tmp_path):

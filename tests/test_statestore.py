@@ -1,4 +1,6 @@
 """Tests for the embedded aggregation state store (paper §4.1.3)."""
+import pickle
+
 import pytest
 
 from repro.core.statestore import StateStore
@@ -51,6 +53,31 @@ def test_checkpoint_restore_roundtrip(tmp_path):
     s2.load(path)
     assert s2.get("a") == {"x": 1}
     assert s2.get(("c", 5), cf="panes") == 7
+
+
+def test_loaded_store_takes_new_column_families(tmp_path):
+    """After ``load`` a column family first written then works, and keys,
+    len, delete and the access counters behave as in a fresh store, also
+    for a checkpoint that holds its column families as a plain dict."""
+    s = StateStore(str(tmp_path))
+    s.put("a", 1)
+    s.put("b", 2, cf="x")
+    plain = tmp_path / "plain.state"
+    plain.write_bytes(pickle.dumps({"default": {"a": pickle.dumps(1)},
+                                    "x": {"b": pickle.dumps(2)}}))
+    for path in (s.checkpoint("t1"), str(plain)):
+        s2 = StateStore(str(tmp_path / "copy"))
+        s2.load(path)
+        s2.put("k", 3, cf="new")
+        assert s2.get("k", cf="new") == 3
+        assert s2.get("k", cf="never-written") is None
+        assert sorted(s2.keys("new")) == ["k"] and sorted(s2.keys("x")) == ["b"]
+        assert list(s2.keys("never-written")) == []
+        assert len(s2) == 3
+        s2.delete("b", cf="x")
+        s2.delete("k", cf="never-written")
+        assert len(s2) == 2 and list(s2.keys("x")) == []
+        assert (s2.gets, s2.puts) == (2, 1)
 
 
 def test_checkpoint_without_dir_raises():

@@ -5,8 +5,6 @@
 micro-benchmark times the vectorized Lindley queue over one million
 events (the simulator's backbone).
 """
-import tempfile
-
 import numpy as np
 
 from repro.bench.fig10 import calibrate_unit_service, run_fig10
@@ -15,9 +13,9 @@ from repro.bench.queueing import fifo_departures
 from . import save_table
 
 
-def test_t4_fig10_table(benchmark):
+def test_t4_fig10_table(benchmark, tmp_path):
     """Regenerate T4: calibrate a real unit, run the paper's ladder."""
-    svc = calibrate_unit_service(tempfile.mkdtemp(prefix="bench-fig10-"))
+    svc = calibrate_unit_service(str(tmp_path))
     df = benchmark.pedantic(lambda: run_fig10(svc), rounds=1, iterations=1)
     save_table(benchmark, df, "T4_fig10.csv")
     benchmark.extra_info["table"] = df.to_dict("records")

@@ -6,8 +6,6 @@ unless benchmarks are disabled); the micro-benchmarks time per-event
 processing of each engine so the §2.2 cost ladder is visible directly
 in the pytest-benchmark output.
 """
-import tempfile
-
 import pytest
 
 from repro import synth_data
@@ -19,11 +17,10 @@ from repro.core.windows import MINUTE, SECOND
 from . import save_table
 
 
-def test_t1_fig8_table(benchmark):
+def test_t1_fig8_table(benchmark, tmp_path):
     """Regenerate T1: the full engine × hop latency ladder."""
-    tmp = tempfile.mkdtemp(prefix="bench-fig8-")
     results = benchmark.pedantic(
-        lambda: run_fig8(tmp, n_events=12_000, max_measured=1_500),
+        lambda: run_fig8(str(tmp_path), n_events=12_000, max_measured=1_500),
         rounds=1, iterations=1,
     )
     df = fig8_table(results)
@@ -54,15 +51,16 @@ def _bench_batches(benchmark, eng, *, batch=100, rounds=25):
     benchmark.pedantic(run, rounds=rounds, iterations=1, warmup_rounds=2)
 
 
-def test_micro_railgun_per_100_events(benchmark):
+def test_micro_railgun_per_100_events(benchmark, tmp_path):
     tp = TaskProcessor(
         "t",
         ["SELECT sum(amount) FROM payments GROUP BY card_id "
          f"OVER sliding {WINDOW_MS} ms"],
-        tempfile.mkdtemp(),
+        str(tmp_path),
         reservoir_kwargs={"chunk_events": 512, "cache_chunks": 64},
     )
     _bench_batches(benchmark, tp)
+    tp.close()
 
 
 @pytest.mark.parametrize("hop_ms", [5 * MINUTE, MINUTE, 10 * SECOND])

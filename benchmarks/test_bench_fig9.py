@@ -9,7 +9,6 @@ work over many windows.
 """
 import itertools
 import random
-import tempfile
 
 from repro.bench.fig9 import fig9_table, run_fig9a, run_fig9b
 from repro.core.reservoir import EventReservoir
@@ -18,11 +17,10 @@ from repro.core.task import TaskProcessor
 from . import save_table
 
 
-def test_t2_fig9a_table(benchmark):
+def test_t2_fig9a_table(benchmark, tmp_path):
     """Regenerate T2: sliding window 5 min → 7 days, flat latency/memory."""
-    tmp = tempfile.mkdtemp(prefix="bench-fig9a-")
     results = benchmark.pedantic(
-        lambda: run_fig9a(tmp, n_events=12_000), rounds=1, iterations=1
+        lambda: run_fig9a(str(tmp_path), n_events=12_000), rounds=1, iterations=1
     )
     df = fig9_table(results)
     save_table(benchmark, df, "T2_fig9a.csv")
@@ -34,11 +32,10 @@ def test_t2_fig9a_table(benchmark):
     assert max(mem) < min(mem) * 1.5
 
 
-def test_t3_fig9b_table(benchmark):
+def test_t3_fig9b_table(benchmark, tmp_path):
     """Regenerate T3: 20→240 iterators against a 220-chunk cache."""
-    tmp = tempfile.mkdtemp(prefix="bench-fig9b-")
     results = benchmark.pedantic(
-        lambda: run_fig9b(tmp, n_events=8_000), rounds=1, iterations=1
+        lambda: run_fig9b(str(tmp_path), n_events=8_000), rounds=1, iterations=1
     )
     df = fig9_table(results)
     save_table(benchmark, df, "T3_fig9b.csv")
@@ -60,8 +57,8 @@ def test_t3_fig9b_table(benchmark):
     )
 
 
-def test_micro_reservoir_append(benchmark):
-    r = EventReservoir(tempfile.mkdtemp(), chunk_events=512, cache_chunks=64)
+def test_micro_reservoir_append(benchmark, tmp_path):
+    r = EventReservoir(str(tmp_path), chunk_events=512, cache_chunks=64)
     counter = iter(range(100_000_000))
 
     def append_100():
@@ -70,10 +67,11 @@ def test_micro_reservoir_append(benchmark):
             r.append({"id": i, "ts": i * 2, "amount": 1.0})
 
     benchmark.pedantic(append_100, rounds=30, iterations=1, warmup_rounds=2)
+    r.close()
 
 
-def test_micro_reservoir_sequential_scan(benchmark):
-    r = EventReservoir(tempfile.mkdtemp(), chunk_events=512, cache_chunks=64)
+def test_micro_reservoir_sequential_scan(benchmark, tmp_path):
+    r = EventReservoir(str(tmp_path), chunk_events=512, cache_chunks=64)
     for i in range(512 * 40):
         r.append({"id": i, "ts": i * 2, "amount": 1.0})
 
@@ -85,17 +83,19 @@ def test_micro_reservoir_sequential_scan(benchmark):
 
     assert scan() == 512 * 40
     benchmark.pedantic(scan, rounds=10, iterations=1, warmup_rounds=1)
+    r.close()
 
 
-def test_micro_chunk_demand_load(benchmark):
+def test_micro_chunk_demand_load(benchmark, tmp_path):
     """The §5.2(b) cache-miss penalty: read + decompress one chunk."""
-    r = EventReservoir(tempfile.mkdtemp(), chunk_events=256, cache_chunks=4)
+    r = EventReservoir(str(tmp_path), chunk_events=256, cache_chunks=4)
     for i in range(256 * 10):
         r.append({"id": i, "ts": i * 2, "amount": 1.0})
     benchmark(lambda: r._load_sealed(3))
+    r.close()
 
 
-def test_micro_chunk_seal(benchmark):
+def test_micro_chunk_seal(benchmark, tmp_path):
     """The burst a full chunk puts on the per-event path: serialize,
     compress and append one 256-event chunk of 103-field events (5 numeric
     fields and 98 eight-hex-character strings)."""
@@ -106,13 +106,14 @@ def test_micro_chunk_seal(benchmark):
          **{f"p{j:02d}": f"{rng.getrandbits(32):08x}" for j in range(98)}}
         for i in range(256)
     ]
-    r = EventReservoir(tempfile.mkdtemp(), chunk_events=256, cache_chunks=4)
+    r = EventReservoir(str(tmp_path), chunk_events=256, cache_chunks=4)
 
     def stage():  # the chunk to seal is the oldest one in memory
         r._chunks.insert(0, list(events))
 
     benchmark.pedantic(r._seal, setup=stage, rounds=30, iterations=1, warmup_rounds=2)
     assert r._load_sealed(0) == events
+    r.close()
 
 
 def test_micro_plan_advance(benchmark, tmp_path):

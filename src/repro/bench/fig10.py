@@ -191,5 +191,9 @@ def calibrate_unit_service(data_dir: str, n_events: int = 3_000, seed: int = 5) 
     events = synth_data.payments_pdf(
         n=n_events, rate_hz=3125.0, n_cards=2000, seed=seed
     ).to_dict("records")
-    wall, calibrated = measure_services(tp, events, calibrated_us=io_cost_us(tp.reservoir))
+    try:
+        wall, calibrated = measure_services(tp, events,
+                                            calibrated_us=io_cost_us(tp.reservoir))
+    finally:
+        tp.close()
     return wall + calibrated

@@ -90,14 +90,17 @@ def run_fig8(
         os.path.join(data_dir, "railgun"),
         reservoir_kwargs={"chunk_events": 512, "cache_chunks": 64},
     )
-    tp.warm_start(history)
-    results.append(
-        run_engine(
-            tp, "railgun (sliding 60min)", events, rate_hz=RATE_HZ,
-            rtt=rtt, seed=seed, extra={"hop": "-", "panes": "-"},
-            calibrated_us=io_cost_us(tp.reservoir),
+    try:
+        tp.warm_start(history)
+        results.append(
+            run_engine(
+                tp, "railgun (sliding 60min)", events, rate_hz=RATE_HZ,
+                rtt=rtt, seed=seed, extra={"hop": "-", "panes": "-"},
+                calibrated_us=io_cost_us(tp.reservoir),
+            )
         )
-    )
+    finally:
+        tp.close()
     for hop_ms in HOPS_MS:
         panes = WINDOW_MS // hop_ms
         # measuring is O(panes) per event; bound the measured prefix so the

@@ -107,16 +107,19 @@ def _run_case(
         "bench-task", statements, data_dir,
         reservoir_kwargs={"chunk_events": CHUNK_EVENTS, "cache_chunks": CACHE_CHUNKS},
     )
-    hist = _tail_history(events[-1]["ts"], offsets_ms, seed, rate_hz)
-    tp.warm_start(hist)
-    for e in events[:WARM_EVENTS]:
-        tp.process(e)
-    tp.reservoir.reset_stats()
-    res = run_engine(
-        tp, name, events[WARM_EVENTS:], rate_hz=rate_hz, rtt=rtt, seed=seed,
-        extra=extra, calibrated_us=io_cost_us(tp.reservoir, IO_SEEK_US),
-    )
-    return res, tp.stats()
+    try:
+        hist = _tail_history(events[-1]["ts"], offsets_ms, seed, rate_hz)
+        tp.warm_start(hist)
+        for e in events[:WARM_EVENTS]:
+            tp.process(e)
+        tp.reservoir.reset_stats()
+        res = run_engine(
+            tp, name, events[WARM_EVENTS:], rate_hz=rate_hz, rtt=rtt, seed=seed,
+            extra=extra, calibrated_us=io_cost_us(tp.reservoir, IO_SEEK_US),
+        )
+        return res, tp.stats()
+    finally:
+        tp.close()
 
 
 def run_fig9a(

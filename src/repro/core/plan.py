@@ -9,7 +9,9 @@ arrives), each Window operator produces the events that *arrive* and
 state-store record per entity in its own column family, one slot per
 distinct state (§4.1.3; sum/avg and last/prev share): an advance costs one
 read-modify-write per (GroupBy, touched entity), and the answer reuses the
-record just written. A leaf (Aggregator operator) reads its slot.
+record just written. A load over history advances in chunk-sized steps
+and still writes each touched record once. A leaf (Aggregator operator)
+reads its slot.
 
 Iterator sharing (§4.1.1 / Fig 5): window heads are keyed by the window's
 delay (two sliding windows with the same delay share the head iterator
@@ -19,6 +21,7 @@ forces misalignment through distinct sizes *and* delays, giving
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Callable, Iterable
 
 from .aggregators import aggregator
@@ -71,9 +74,11 @@ class GroupByNode:
         # per slot, (add, field, slot, aux_cf) and (evict, field, slot, aux_cf)
         self._updates: tuple[list[tuple], list[tuple]] = ([], [])
         self.reads: list[tuple[str, Callable, int]] = []  # per leaf: (name, value, slot)
-        # entity → record this node put during the current advance; between
-        # advances the plan is the only writer of its column families
+        # entity → record this node touched during the current advance,
+        # put by ``flush``; between advances the plan is the only writer of
+        # its column families
         self.written: dict[Any, list] = {}
+        self.deferred = False  # during a load: flush once, after the last step
         self._gb1 = fields[0] if len(fields) == 1 else None
 
     def add_leaf(self, leaf: AggregatorLeaf) -> None:
@@ -97,12 +102,12 @@ class GroupByNode:
         return tuple(e.get(g) for g in self.fields)
 
     def apply(self, arrivals: list[Event], evictions: list[Event]) -> None:
-        """One read-modify-write per touched entity: every slot takes its
-        arrivals, then its evictions (a batch can add and expire one event).
-        A record whose every slot is empty again is deleted, so the store
-        holds only entities inside some window."""
-        store, cf, key = self.store, self.cf, self.key
-        recs: dict[Any, list] = {}
+        """Update the touched entities' records in ``written``, each read
+        from the store on its first touch in the advance: every slot takes
+        its arrivals, then its evictions (a step can add and expire one
+        event). Then write them back, unless a load defers that to its
+        last step; an advance applies once per GroupBy."""
+        store, cf, key, recs = self.store, self.cf, self.key, self.written
         for events, updates in zip((arrivals, evictions), self._updates):
             for e in events:
                 k = key(e)
@@ -118,12 +123,19 @@ class GroupByNode:
                         st = [rec[i][0], _Multiplicities(store, aux, k)]
                         update(st, ts, v)
                         rec[i][0] = st[0]
-        for k, rec in recs.items():
-            if rec == self.empty:
+        if not self.deferred:
+            self.flush()
+
+    def flush(self) -> None:
+        """Write back each record of ``written`` once. A record whose every
+        slot is empty again is deleted, so the store holds only entities
+        inside some window."""
+        store, cf, empty = self.store, self.cf, self.empty
+        for k, rec in self.written.items():
+            if rec == empty:
                 store.delete(k, cf)
             else:
                 store.put(k, rec, cf)
-        self.written.update(recs)
 
 
 class FilterNode:
@@ -216,6 +228,40 @@ class TaskPlan:
                 if arrivals or evictions:
                     for f in wnode.filters.values():
                         f.apply(arrivals, evictions)
+
+    def load(self, t_eval: int, stops: Iterable[int]) -> None:
+        """Advance over loaded history in steps, as :meth:`advance` does
+        in one: ``stops`` are ascending times, and at each stop every
+        iterator moves to its bound at ``t_eval`` or to the stop,
+        whichever is lower, so a step yields no event stored past it. A
+        tail never passes its head, so an event is added before it is
+        evicted. Each GroupBy writes each touched record once, after the
+        last step, then drops them: no answer is served from a load.
+
+        The per-event path keeps its own loop in :meth:`advance`: the
+        stop's ``min`` and the extra call cost it about 2 % per event."""
+        for gb in self.groupbys:
+            gb.written.clear()
+            gb.deferred = True
+        try:
+            for stop in chain(stops, (t_eval,)):
+                for delay_ms, (head, wnodes) in self._head_groups.items():
+                    arrivals: list[Event] = []
+                    head.advance_until(min(t_eval - delay_ms, stop), arrivals)
+                    for wnode in wnodes:
+                        evictions: list[Event] = []
+                        if wnode.tail is not None:
+                            wnode.tail.advance_until(
+                                min(wnode.spec.bounds(t_eval)[0], stop), evictions)
+                        if arrivals or evictions:
+                            for f in wnode.filters.values():
+                                f.apply(arrivals, evictions)
+            for gb in self.groupbys:
+                gb.flush()
+        finally:
+            for gb in self.groupbys:
+                gb.written.clear()
+                gb.deferred = False
 
     def seek(self, t_eval: int | None) -> None:
         """Seek every window's head and tail to its bounds at ``t_eval``,

@@ -63,8 +63,9 @@ import zlib
 from array import array
 from collections import OrderedDict
 from copy import copy
+from itertools import chain
 from operator import itemgetter
-from typing import Any
+from typing import Any, Iterator
 
 Event = dict  # {'id': ..., 'ts': int epoch-ms, <payload fields>}
 _ts = itemgetter("ts")
@@ -418,6 +419,11 @@ class EventReservoir:
 
     def sealed_chunks(self) -> int:
         return len(self._first)
+
+    def chunk_ends(self) -> Iterator[int]:
+        """The last ts of every chunk holding an event, in chunk order, so
+        ascending (ties repeat): the sealed index's, then those in memory."""
+        return chain(self._last, (c[-1]["ts"] for c in self._chunks if c))
 
     def disk_bytes(self) -> int:
         return self._disk_bytes

@@ -12,11 +12,17 @@ none), flushes state, and records the last processed offset so a
 recovering processor can copy the files and replay the delta. Loading
 anchors every window at the reservoir's watermark: ``recover`` and
 ``warm_start`` install state and seek there, ``warm_up`` replays.
+
+Memory is O(#iterators) chunks of events on every path: the event path
+holds what one advance yields, and ``warm_up`` replays the history one
+chunk at a time, so a load holds about one chunk per iterator however
+long the history is; the per-entity records live in the state store.
 """
 from __future__ import annotations
 
 import os
 import shutil
+from itertools import groupby, takewhile
 from typing import Any, Iterable
 
 from .aggregators import FROM_MOMENTS
@@ -73,22 +79,30 @@ class TaskProcessor:
 
         Used by §5.2(a): large windows are exercised by loading history so
         head *and* tail iterators are live from the first processed event.
-        Follow with :meth:`warm_up`.
+        The events are sealed into chunks as they arrive, so the reservoir
+        holds the open and transition chunks, not the history. Follow with
+        :meth:`warm_up`.
         """
         return sum(self.reservoir.append(dict(e)) not in ("dup", "late-dropped")
                    for e in events)
 
     def warm_up(self, now_ts: int) -> None:
-        """Advance the plan over prefilled history in one batched pass.
+        """Advance the plan over prefilled history to ``now_ts``, one chunk
+        at a time.
 
-        ``now_ts`` must not pass the watermark: the tails would evict
-        events still inside the windows at the watermark, and nothing
-        re-adds them.
+        The steps stop at every chunk's last ts below ``now_ts``, so no
+        iterator yields much more than one chunk per step (events tied
+        with a stop are yielded together): the load holds about a chunk
+        of history per iterator, not the history, while each GroupBy still
+        reads and writes each touched record once. ``now_ts`` must not
+        pass the watermark: the tails would evict events still inside the
+        windows at the watermark, and nothing re-adds them.
         """
         wm = self.reservoir.watermark
         if wm is not None and now_ts > wm:
             raise ValueError(f"warm_up at {now_ts} is past the watermark {wm}")
-        self.plan.advance(now_ts)
+        ends = (t for t, _ in groupby(self.reservoir.chunk_ends()))  # ties once
+        self.plan.load(now_ts, takewhile(lambda t: t < now_ts, ends))
 
     def warm_start(self, history) -> None:
         """Vectorized checkpoint load (§5.2 methodology) into an empty task.

@@ -10,6 +10,7 @@ import pandas as pd
 import pytest
 
 from repro.core.language import parse_statement
+from repro.core.reservoir import ReservoirIterator
 from repro.core.task import TaskProcessor
 from repro.core.windows import MINUTE, SECOND
 
@@ -287,6 +288,68 @@ def test_warm_up_past_the_watermark_raises_and_moves_nothing(tmp_path):
     ans = tp.process({"id": "x", "ts": 10_500, "card_id": 1,
                       "merchant_id": 1, "amount": 1.0})
     assert (ans[count], ans[total]) == (11, 11.0)
+
+
+def test_warm_up_holds_about_one_chunk_and_writes_each_record_once(tmp_path, monkeypatch):
+    """warm_up over 50 chunks of history, a 4-chunk burst at one ts among
+    them: no iterator call yields more than two chunks of events, leaving
+    aside those tied with its last one, and each GroupBy reads and writes
+    (puts or deletes) each record it touched once."""
+    chunk = 8
+    rng = np.random.default_rng(3)
+    gaps = rng.integers(0, 1500, 50 * chunk)
+    gaps[200:200 + 4 * chunk] = 0  # the burst
+    ts = np.cumsum(gaps)
+    hist = [{"id": i, "ts": int(t), "card_id": int(rng.integers(1, 20)),
+             "merchant_id": int(rng.integers(1, 4)), "amount": float(rng.integers(1, 100))}
+            for i, t in enumerate(ts)]
+    windows = ("sliding 30 seconds", "sliding 20 seconds delayed by 10 seconds",
+               "tumbling 45 seconds", "infinite")
+    tp = make_tp(tmp_path, [
+        f"SELECT sum(amount), max(amount), countDistinct(merchant_id), count(*) "
+        f"FROM payments {where}GROUP BY card_id OVER {w}"
+        for w in windows for where in ("", "WHERE amount > 50 ")], chunk_events=chunk)
+    tp.prefill(hist)
+    assert tp.reservoir.sealed_chunks() >= 40
+
+    yields = []
+    advance_until = ReservoirIterator.advance_until
+
+    def recording(it, bound_ts, out):
+        n = len(out)
+        advance_until(it, bound_ts, out)
+        yields.append(out[n:])
+
+    touches = {gb.cf: [] for gb in tp.plan.groupbys}  # (op, key) per GroupBy cf
+
+    def counting(op):
+        call = getattr(tp.store, op)
+
+        def counted(key, *args):
+            cf = args[-1]
+            if cf in touches:
+                touches[cf].append((op, key))
+            return call(key, *args)
+        return counted
+
+    monkeypatch.setattr(ReservoirIterator, "advance_until", recording)
+    for op in ("get", "put", "delete"):
+        monkeypatch.setattr(tp.store, op, counting(op))
+    now = hist[-1]["ts"]
+    tp.warm_up(now)
+    monkeypatch.undo()
+
+    assert sum(map(len, yields)) >= len(hist)
+    for got in yields:
+        assert len([e for e in got if e["ts"] != got[-1]["ts"]]) <= 2 * chunk
+    for gb in tp.plan.groupbys:
+        delay = gb.leaves[0].metric.window.delay_ms
+        cut = 50 if gb.leaves[0].metric.filter_sql else -1
+        touched = {e["card_id"] for e in hist if e["ts"] <= now - delay and e["amount"] > cut}
+        reads = [k for op, k in touches[gb.cf] if op == "get"]
+        writes = [k for op, k in touches[gb.cf] if op != "get"]
+        assert sorted(reads) == sorted(writes) == sorted(touched), gb.cf
+        assert not gb.written  # the load keeps no second copy of its records
 
 
 def test_warm_start_anchors_at_the_watermark(tmp_path):

@@ -256,3 +256,75 @@ def test_random_plans_match_brute_force(
             for leaf in gb.leaves:
                 if leaf.aux_cf:
                     assert {k for k, _ in tp.store.keys(leaf.aux_cf)} <= left
+
+
+@st.composite
+def loadable_history(draw):
+    """(chunk_events, history, rest): an in-order history of at least ten
+    chunks, with timestamps tied across chunk boundaries and one burst of
+    several chunks inside 1 ms, then a few events to process live."""
+    chunk = draw(st.integers(2, 16))
+    n = draw(st.integers(10 * chunk, 12 * chunk))
+    gaps = draw(st.lists(st.sampled_from((0, 0, 1, 250, 900, 2_500)),
+                         min_size=n + 20, max_size=n + 20))
+    burst = draw(st.integers(2 * chunk, 4 * chunk))
+    at = draw(st.integers(0, n - burst))
+    gaps[at + 1:at + burst] = [0] * (burst - 1)
+    keys = draw(st.lists(st.integers(1, 4), min_size=n + 20, max_size=n + 20))
+    amounts = draw(st.lists(st.integers(0, 99), min_size=n + 20, max_size=n + 20))
+    events = [{"id": i, "ts": int(t), "card_id": k, "merchant": i % 3, "amount": float(a)}
+              for i, (t, k, a) in enumerate(zip(np.cumsum(gaps), keys, amounts))]
+    return chunk, events[:n], events[n:n + draw(st.integers(1, 20))]
+
+
+def _close(a, b) -> bool:
+    """Equal, floats within the tolerance of the brute-force checks."""
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_close, a, b))
+    if isinstance(a, float):
+        return b == pytest.approx(a, rel=1e-9, abs=1e-6)
+    return a == b
+
+
+def _store_records(tp) -> dict:
+    plan = tp.plan
+    cfs = [gb.cf for gb in plan.groupbys] + [leaf.aux_cf for leaf in plan.leaves if leaf.aux_cf]
+    return {cf: {k: tp.store.get(k, cf) for k in tp.store.keys(cf)} for cf in cfs}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    loaded=loadable_history(),
+    windows=st.lists(window_text(), min_size=1, max_size=3),
+    aggs=st.lists(st.sampled_from([f"{a}(amount)" for a in sorted(AGGREGATORS)]
+                                  + ["count(*)"]), min_size=1, max_size=10, unique=True),
+    where=st.sampled_from(("", "WHERE amount > 40 ")),
+)
+def test_chunked_warm_up_equals_live_processing(tmp_path_factory, loaded, windows, aggs,
+                                                where):
+    """prefill(history) + warm_up(W) leaves the store as processing every
+    history event live does, record by record, and both answer alike
+    after it: the chunk-sized steps of a load add and evict the same
+    events as the per-event path."""
+    chunk, history, rest = loaded
+    sqls = [f"SELECT {', '.join(aggs)} FROM s {where}GROUP BY card_id OVER {w}"
+            for w in windows]
+    live, loading = (
+        TaskProcessor(d, sqls, str(tmp_path_factory.mktemp(d)),
+                      reservoir_kwargs={"chunk_events": chunk, "cache_chunks": 8})
+        for d in ("live", "loading"))
+    for e in history:
+        live.process(e)
+    loading.prefill(history)
+    assert loading.reservoir.sealed_chunks() >= 10
+    loading.warm_up(history[-1]["ts"])
+    want, got = _store_records(live), _store_records(loading)
+    assert {cf: set(r) for cf, r in got.items()} == {cf: set(r) for cf, r in want.items()}
+    for cf, records in want.items():
+        for k, rec in records.items():
+            assert _close(rec, got[cf][k]), (cf, k, rec, got[cf][k])
+    for e in rest:
+        a, b = live.process(e), loading.process(e)
+        assert a.keys() == b.keys()
+        for name in a:
+            assert _close(a[name], b[name]), (e["id"], name, a[name], b[name])

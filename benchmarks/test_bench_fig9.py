@@ -10,7 +10,7 @@ work over many windows.
 import itertools
 import random
 
-from repro.bench.fig9 import fig9_table, run_fig9a, run_fig9b
+from repro.bench.fig9 import T2_AGGS, fig9_table, run_fig9a, run_fig9b
 from repro.core.reservoir import EventReservoir
 from repro.core.task import TaskProcessor
 
@@ -18,18 +18,22 @@ from . import save_table
 
 
 def test_t2_fig9a_table(benchmark, tmp_path):
-    """Regenerate T2: sliding window 5 min → 7 days, flat latency/memory."""
+    """Regenerate T2: sliding window 5 min → 7 days for each aggregation,
+    flat latency/memory."""
     results = benchmark.pedantic(
         lambda: run_fig9a(str(tmp_path), n_events=12_000), rounds=1, iterations=1
     )
     df = fig9_table(results)
     save_table(benchmark, df, "T2_fig9a.csv")
     benchmark.extra_info["table"] = df.to_dict("records")
-    p999 = [r.percentiles["p99.9"] for r in results]
-    assert max(p999) < min(p999) * 1.5  # independent of window size
+    assert {r.extra["agg"] for r in results} == set(T2_AGGS)
     assert all(r.sustainable for r in results)
-    mem = [r.extra["memory_events"] for r in results]
-    assert max(mem) < min(mem) * 1.5
+    for agg in T2_AGGS:
+        rows = [r for r in results if r.extra["agg"] == agg]
+        p999 = [r.percentiles["p99.9"] for r in rows]
+        assert max(p999) < min(p999) * 1.5, agg  # independent of window size
+        mem = [r.extra["memory_events"] for r in rows]
+        assert max(mem) < min(mem) * 1.5, agg
 
 
 def test_t3_fig9b_table(benchmark, tmp_path):

@@ -20,7 +20,8 @@ from repro.bench.fig10 import calibrate_unit_service, erosion, run_fig10  # noqa
 
 def main() -> None:
     spark = get_spark("fig10-scaling-nodes")
-    svc = calibrate_unit_service(tempfile.mkdtemp(prefix="fig10-cal-"))
+    with tempfile.TemporaryDirectory(prefix="fig10-cal-") as d:
+        svc = calibrate_unit_service(d)
     print("\n=== calibration: measured per-event service times (one unit) ===")
     sdf = spark.createDataFrame(pd.DataFrame({"svc_us": svc * 1e6}))
     sdf.selectExpr(

@@ -21,7 +21,8 @@ from repro.core.windows import MINUTE, SECOND  # noqa: E402
 
 def main() -> None:
     spark = get_spark("fig8-flink-vs-railgun")
-    results = run_fig8(tempfile.mkdtemp(prefix="fig8-"))
+    with tempfile.TemporaryDirectory(prefix="fig8-") as d:
+        results = run_fig8(d)
     table = fig8_table(results)
     print("\n=== T1 (Fig 8): latency at 500 ev/s, sum(amount) by card, 60-min window ===")
     spark.createDataFrame(table.astype({"hop": str, "panes": str})).show(truncate=False)

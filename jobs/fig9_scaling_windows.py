@@ -21,12 +21,14 @@ from repro.bench.fig9 import (  # noqa: E402
 def main() -> None:
     spark = get_spark("fig9-scaling-windows")
     print(f"\n=== T2 (Fig 9a): window size sweep @ {RATE_HZ_A:g} ev/s ===")
-    a = fig9_table(run_fig9a(tempfile.mkdtemp(prefix="fig9a-")))
+    with tempfile.TemporaryDirectory(prefix="fig9a-") as d:
+        a = fig9_table(run_fig9a(d))
     spark.createDataFrame(a).show(truncate=False)
 
     print(f"=== T3 (Fig 9b): iterator sweep (cache = {CACHE_CHUNKS} chunks) "
           f"@ {RATE_HZ_B:g} ev/s ===")
-    b = fig9_table(run_fig9b(tempfile.mkdtemp(prefix="fig9b-")))
+    with tempfile.TemporaryDirectory(prefix="fig9b-") as d:
+        b = fig9_table(run_fig9b(d))
     spark.createDataFrame(b).show(truncate=False)
     spark.stop()
 

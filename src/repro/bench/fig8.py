@@ -91,7 +91,8 @@ def run_fig8(
         reservoir_kwargs={"chunk_events": 512, "cache_chunks": 64},
     )
     try:
-        tp.warm_start(history)
+        tp.prefill(history.to_dict("records"))
+        tp.warm_up(int(history["ts"].iloc[-1]))
         results.append(
             run_engine(
                 tp, "railgun (sliding 60min)", events, rate_hz=RATE_HZ,

@@ -230,15 +230,6 @@ AGGREGATORS: dict[str, type] = {
     for a in (Count, Sum, Avg, StdDev, Max, Min, Last, Prev, CountDistinct)
 }
 
-# The state of a window of n values summing to s with squared deviation m2,
-# for the aggregations a vectorized warm start can build from those moments.
-FROM_MOMENTS = {
-    "count": lambda n, s, m2: [n],
-    "sum": lambda n, s, m2: [s, n],
-    "avg": lambda n, s, m2: [s, n],
-    "stdDev": lambda n, s, m2: [n, s / n, m2],
-}
-
 
 def aggregator(name: str) -> type:
     """The implementation of an aggregation, by its grammar name (Fig 4)."""

@@ -9,9 +9,10 @@ arrives), each Window operator produces the events that *arrive* and
 state-store record per entity in its own column family, one slot per
 distinct state (§4.1.3; sum/avg and last/prev share): an advance costs one
 read-modify-write per (GroupBy, touched entity), and the answer reuses the
-record just written. A load over history advances in chunk-sized steps
-and still writes each touched record once. A leaf (Aggregator operator)
-reads its slot.
+record just written. A load over history seeks each head group to its
+lowest window start, replays the windows' contents in chunk-sized steps
+through the same add/evict, and still writes each touched record once.
+A leaf (Aggregator operator) reads its slot.
 
 Iterator sharing (§4.1.1 / Fig 5): window heads are keyed by the window's
 delay (two sliding windows with the same delay share the head iterator
@@ -230,16 +231,22 @@ class TaskPlan:
                         f.apply(arrivals, evictions)
 
     def load(self, t_eval: int, stops: Iterable[int]) -> None:
-        """Advance over loaded history in steps, as :meth:`advance` does
-        in one: ``stops`` are ascending times, and at each stop every
-        iterator moves to its bound at ``t_eval`` or to the stop,
-        whichever is lower, so a step yields no event stored past it. A
-        tail never passes its head, so an event is added before it is
-        evicted. Each GroupBy writes each touched record once, after the
-        last step, then drops them: no answer is served from a load.
+        """Fill the windows at ``t_eval`` from stored history, into a store
+        that holds none of it. Each head group's head and tails first seek
+        to the lowest window start among its windows (an infinite window's
+        is the start), so a load reads the windows' contents, not the whole
+        history. Then they advance in steps: ``stops`` are ascending times,
+        and at each stop every iterator moves to its bound at ``t_eval`` or
+        to the stop, whichever is lower. A tail never passes its head, so
+        an event is added before it is evicted. Each GroupBy writes each
+        touched record once, after the last step, then drops them.
 
         The per-event path keeps its own loop in :meth:`advance`: the
         stop's ``min`` and the extra call cost it about 2 % per event."""
+        for head, wnodes in self._head_groups.values():
+            lo = min(w.spec.bounds(t_eval)[0] for w in wnodes)
+            for it in (head, *(w.tail for w in wnodes if w.tail is not None)):
+                it.seek_after(lo)
         for gb in self.groupbys:
             gb.written.clear()
             gb.deferred = True
@@ -285,16 +292,3 @@ class TaskPlan:
             for name, value, i in gb.reads:
                 out[name] = value(rec[i])
         return out
-
-    def put_states(self, states: dict[AggregatorLeaf, dict[Any, list]]) -> None:
-        """Store entity states built outside the DAG (a vectorized warm
-        start): ``states[leaf][entity]`` is a slot, for every leaf; each
-        entity's slots are merged into one record per GroupBy and put once."""
-        for gb in self.groupbys:
-            gb.written.clear()
-            records: dict[Any, list] = {}
-            for leaf in gb.leaves:
-                for k, st in states[leaf].items():
-                    records.setdefault(k, gb.new_record())[leaf.slot] = st
-            for k, rec in records.items():
-                self.store.put(k, rec, gb.cf)

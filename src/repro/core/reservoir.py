@@ -194,21 +194,24 @@ class ReservoirIterator:
 
         A sealed chunk is found through the in-memory ts index (a random
         read, §4.1.1), one in memory by bisect; it prefetches nothing. How
-        a recovering or newly-added window attaches.
+        a recovering or newly-added window attaches. A cursor already at the
+        chunk start it would land at keeps its chunk and the one staged next.
         """
         r = self.r
-        self._release()
-        self._current = None
         self._late.clear()
         firsts = [c[0]["ts"] for c in r._chunks if c]  # only the open one can be empty
         m = bisect.bisect_right(firsts, bound_ts)
         if m:
             cid, events = len(r._first) + m - 1, r._chunks[m - 1]
+            self._release()
         else:
             cid = bisect.bisect_right(r._first, bound_ts) - 1
             if cid < 0 or bound_ts >= r._last[cid]:
-                self.chunk_id, self.idx = cid + 1, 0
+                if (self.chunk_id, self.idx) != (cid + 1, 0):
+                    self._release()
+                    self.chunk_id, self.idx, self._current = cid + 1, 0, None
                 return
+            self._release()
             events = r._fetch_sealed(cid)
         self.idx = bisect.bisect_right(events, bound_ts, key=_ts)
         self.chunk_id = cid

@@ -10,8 +10,10 @@ Checkpointing (§4.1.3) synchronizes the reservoir and the state store:
 ``checkpoint()`` copies the reservoir's in-memory chunks (it closes
 none), flushes state, and records the last processed offset so a
 recovering processor can copy the files and replay the delta. Loading
-anchors every window at the reservoir's watermark: ``recover`` and
-``warm_start`` install state and seek there, ``warm_up`` replays.
+anchors every window at the reservoir's watermark, in one of two ways:
+``recover`` installs state and seeks there; ``prefill`` + ``warm_up``
+seek each head group to its lowest window start and replay the windows
+through the plan's own add/evict, exact for every aggregation and filter.
 
 Memory is O(#iterators) chunks of events on every path: the event path
 holds what one advance yields, and ``warm_up`` replays the history one
@@ -25,7 +27,6 @@ import shutil
 from itertools import groupby, takewhile
 from typing import Any, Iterable
 
-from .aggregators import FROM_MOMENTS
 from .language import Statement, parse_statement
 from .plan import TaskPlan
 from .reservoir import Event, EventReservoir
@@ -87,62 +88,24 @@ class TaskProcessor:
                    for e in events)
 
     def warm_up(self, now_ts: int) -> None:
-        """Advance the plan over prefilled history to ``now_ts``, one chunk
-        at a time.
+        """Load the windows at ``now_ts`` from prefilled history, one chunk
+        at a time, replaying only the windows' contents (:meth:`TaskPlan.load`).
 
         The steps stop at every chunk's last ts below ``now_ts``, so no
         iterator yields much more than one chunk per step (events tied
-        with a stop are yielded together): the load holds about a chunk
-        of history per iterator, not the history, while each GroupBy still
-        reads and writes each touched record once. ``now_ts`` must not
-        pass the watermark: the tails would evict events still inside the
-        windows at the watermark, and nothing re-adds them.
+        with a stop are yielded together). ``now_ts`` must not pass the
+        watermark: the tails would evict events still inside the windows
+        at the watermark, and nothing re-adds them. The store must hold no
+        record, whose events would count twice; with none, every window is
+        empty, so the load's seeks are exact wherever the iterators stood.
         """
         wm = self.reservoir.watermark
         if wm is not None and now_ts > wm:
             raise ValueError(f"warm_up at {now_ts} is past the watermark {wm}")
+        if len(self.store):
+            raise ValueError("warm_up loads a task whose store holds no record")
         ends = (t for t, _ in groupby(self.reservoir.chunk_ends()))  # ties once
         self.plan.load(now_ts, takewhile(lambda t: t < now_ts, ends))
-
-    def warm_start(self, history) -> None:
-        """Vectorized checkpoint load (§5.2 methodology) into an empty task.
-
-        ``history`` is a pandas DataFrame of events in ts order with
-        unique ids. Prefills them, builds each leaf's per-entity aggregate
-        state over its window at the watermark directly with pandas
-        groupbys (instead of replaying events one by one), then seeks
-        every window iterator there, as :meth:`recover` does. Supports the
-        decomposable aggregations (sum/count/avg/stdDev); metrics needing
-        event order (min/max/last/prev) must warm up via :meth:`warm_up`.
-        Every metric is checked before any event or state is written.
-        """
-        if self.reservoir.total_events:
-            raise ValueError("warm_start loads an empty task")
-        for leaf in self.plan.leaves:
-            if leaf.metric.filter_sql is not None:
-                raise ValueError("warm_start does not support filtered metrics")
-            if leaf.metric.agg not in FROM_MOMENTS:
-                raise ValueError(f"warm_start does not support {leaf.metric.agg!r}")
-        self.prefill(history.to_dict("records"))
-        wm = self.reservoir.watermark
-        if wm is None:
-            return  # an empty history loads nothing
-        states = {}
-        for leaf in self.plan.leaves:
-            lo, hi = leaf.metric.window.bounds(wm)
-            sub = history[(history["ts"] > lo) & (history["ts"] <= hi)]
-            gb = list(leaf.metric.group_by)
-            field = "ts" if leaf.metric.agg_field == "*" else leaf.metric.agg_field
-            g = sub.groupby(gb[0] if len(gb) == 1 else gb)[field].agg(
-                ["count", "sum", "var"]
-            )
-            m2 = g["var"].fillna(0.0) * (g["count"] - 1)
-            states[leaf] = {
-                key: FROM_MOMENTS[leaf.metric.agg](int(n), float(s), float(v))
-                for key, n, s, v in zip(g.index.tolist(), g["count"], g["sum"], m2)
-            }
-        self.plan.put_states(states)
-        self.plan.seek(wm)
 
     # -- accounting ------------------------------------------------------------
 

@@ -6,7 +6,6 @@ in test_sliding_oracle.py, the DuckDB oracle through the Spark path).
 import pickle
 
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.core.language import parse_statement
@@ -294,7 +293,8 @@ def test_warm_up_holds_about_one_chunk_and_writes_each_record_once(tmp_path, mon
     """warm_up over 50 chunks of history, a 4-chunk burst at one ts among
     them: no iterator call yields more than two chunks of events, leaving
     aside those tied with its last one, and each GroupBy reads and writes
-    (puts or deletes) each record it touched once."""
+    (puts or deletes) once each record with an event between its head
+    group's lowest window start and its head's bound, and no other."""
     chunk = 8
     rng = np.random.default_rng(3)
     gaps = rng.integers(0, 1500, 50 * chunk)
@@ -339,45 +339,116 @@ def test_warm_up_holds_about_one_chunk_and_writes_each_record_once(tmp_path, mon
     tp.warm_up(now)
     monkeypatch.undo()
 
-    assert sum(map(len, yields)) >= len(hist)
+    assert sum(map(len, yields)) >= len(hist)  # the infinite window's head
     for got in yields:
         assert len([e for e in got if e["ts"] != got[-1]["ts"]]) <= 2 * chunk
     for gb in tp.plan.groupbys:
         delay = gb.leaves[0].metric.window.delay_ms
+        lo = min(w.spec.bounds(now)[0] for w in tp.plan._head_groups[delay][1])
         cut = 50 if gb.leaves[0].metric.filter_sql else -1
-        touched = {e["card_id"] for e in hist if e["ts"] <= now - delay and e["amount"] > cut}
+        touched = {e["card_id"] for e in hist
+                   if lo < e["ts"] <= now - delay and e["amount"] > cut}
         reads = [k for op, k in touches[gb.cf] if op == "get"]
         writes = [k for op, k in touches[gb.cf] if op != "get"]
         assert sorted(reads) == sorted(writes) == sorted(touched), gb.cf
         assert not gb.written  # the load keeps no second copy of its records
 
 
-def test_warm_start_anchors_at_the_watermark(tmp_path):
-    """warm_start loads the windows at the history's last ts, where
+def test_warm_up_anchors_at_the_watermark(tmp_path):
+    """prefill + warm_up at the history's last ts loads the windows where
     recover would resume them: every history event stays in the window.
-    An empty history loads nothing and leaves the task empty."""
+    An empty history loads nothing and leaves the task loadable."""
     tp = make_tp(tmp_path, ["SELECT count(amount), sum(amount) FROM payments "
                             "GROUP BY card_id OVER sliding 10 seconds"],
                  chunk_events=4)
     count, total = (leaf.metric.name for leaf in tp.plan.leaves)
-    tp.warm_start(pd.DataFrame(columns=["id", "ts", "card_id", "merchant_id", "amount"]))
-    tp.warm_start(pd.DataFrame({"id": f"h{i}", "ts": i * 1000, "card_id": 1,
-                                "merchant_id": 1, "amount": 1.0} for i in range(1, 11)))
+    assert tp.prefill([]) == 0
+    tp.warm_up(0)
+    assert len(tp.store) == 0
+    hist = [{"id": f"h{i}", "ts": i * 1000, "card_id": 1, "merchant_id": 1,
+             "amount": 1.0} for i in range(1, 11)]
+    tp.prefill(hist)
+    tp.warm_up(hist[-1]["ts"])
     ans = tp.process({"id": "x", "ts": 10_500, "card_id": 1,
                       "merchant_id": 1, "amount": 1.0})
     assert (ans[count], ans[total]) == (11, 11.0)
 
 
-def test_warm_start_into_a_non_empty_task_raises_and_stores_nothing(tmp_path):
-    """The loaded state would miss the events already stored."""
-    tp = make_tp(tmp_path, ["SELECT sum(amount) FROM payments "
-                            "GROUP BY card_id OVER sliding 1 minute"])
-    events = _payments(n=20)
+def test_warm_up_into_a_task_with_state_raises_and_moves_nothing(tmp_path):
+    """A load over a stored record would count its events twice: warm_up
+    refuses before the store or any iterator changes."""
+    tp = make_tp(tmp_path, ["SELECT sum(amount) FROM payments GROUP BY card_id "
+                            "OVER sliding 1 minute",
+                            "SELECT count(*) FROM payments GROUP BY card_id "
+                            "OVER sliding 30 seconds delayed by 5 seconds"],
+                 chunk_events=4)
+    events = _payments(n=40)
     tp.process(events[0])
-    keys = len(tp.store)
-    with pytest.raises(ValueError, match="empty task"):
-        tp.warm_start(pd.DataFrame(events[1:]))
-    assert (tp.reservoir.total_events, len(tp.store)) == (1, keys)
+    tp.prefill(events[1:])
+    iterators = [tp.plan._head_groups[d][0] for d in tp.plan._head_groups]
+    iterators += [w.tail for w in tp.plan.windows.values()]
+
+    def state():
+        records = {gb.cf: {k: tp.store.get(k, gb.cf) for k in tp.store.keys(gb.cf)}
+                   for gb in tp.plan.groupbys}
+        return (records, [(it.chunk_id, it.idx, it._current, list(it._late))
+                               for it in iterators])
+
+    before = state()
+    assert any(before[0].values())
+    with pytest.raises(ValueError, match="store"):
+        tp.warm_up(events[-1]["ts"])
+    assert state() == before
+
+
+def test_warm_up_replays_only_the_windows(tmp_path, monkeypatch):
+    """Over a history more than 10× the longest size + delay, each head
+    group seeks to its lowest window start: no iterator yields more than
+    its group's widest window plus two chunks, and the answers after the
+    load are the brute-force ones."""
+    chunk = 8
+    rng = np.random.default_rng(7)
+    events = [{"id": i, "ts": int(t), "card_id": int(rng.integers(1, 6)),
+               "merchant_id": 1, "amount": float(rng.integers(1, 100))}
+              for i, t in enumerate(np.cumsum(rng.integers(1, 1500, 60 * chunk + 40)))]
+    hist = events[:60 * chunk]
+    now = hist[-1]["ts"]
+    windows = {"sliding 20 seconds": (20 * SECOND, 0),
+               "sliding 30 seconds": (30 * SECOND, 0),
+               "sliding 15 seconds delayed by 10 seconds": (15 * SECOND, 10 * SECOND)}
+    assert now - hist[0]["ts"] > 10 * 30 * SECOND
+    tp = make_tp(tmp_path, [f"SELECT sum(amount), max(amount), count(*) FROM payments "
+                            f"GROUP BY card_id OVER {w}" for w in windows],
+                 chunk_events=chunk)
+    tp.prefill(hist)
+    assert tp.reservoir.sealed_chunks() >= 40
+
+    yields: dict[int, int] = {}
+    advance_until = ReservoirIterator.advance_until
+
+    def counting(it, bound_ts, out):
+        n = len(out)
+        advance_until(it, bound_ts, out)
+        yields[id(it)] = yields.get(id(it), 0) + len(out) - n
+
+    monkeypatch.setattr(ReservoirIterator, "advance_until", counting)
+    tp.warm_up(now)
+    monkeypatch.undo()
+
+    for delay, (head, wnodes) in tp.plan._head_groups.items():
+        lo = min(w.spec.bounds(now)[0] for w in wnodes)
+        widest = sum(lo < e["ts"] <= now - delay for e in hist)
+        for it in (head, *(w.tail for w in wnodes)):
+            assert yields.get(id(it), 0) <= widest + 2 * chunk, (delay, widest)
+    for i in range(len(hist), len(events)):
+        ans = tp.process(events[i])
+        for leaf in tp.plan.leaves:
+            m = leaf.metric
+            vals = _brute(events, i, key="card_id", window_ms=m.window.size_ms,
+                          delay_ms=m.window.delay_ms)
+            want = {"sum": sum(vals) if vals else None, "max": max(vals, default=None),
+                    "count": len(vals)}[m.agg]
+            _assert_answer(ans[m.name], want, (i, m.name))
 
 
 def _reference(agg, vals):
@@ -403,33 +474,22 @@ def _assert_answer(got, expect, label):
         assert got == pytest.approx(expect, rel=1e-9), label
 
 
-def test_warm_up_matches_brute_force_and_warm_start(tmp_path):
-    """Batched warm_up over a history many windows long, every aggregation.
+def test_warm_up_matches_brute_force(tmp_path):
+    """Chunked warm_up over a history many windows long, every aggregation.
 
-    Within the one batch, a history event can both arrive in and expire
-    from a window; warm_start must then agree with warm_up.
+    Within one step, a history event can both arrive in and expire from
+    a window.
     """
     events = _payments(n=300, n_cards=3)
     hist = events[:200]
     now = hist[-1]["ts"]
     windows = ("sliding 5 seconds", "sliding 5 seconds delayed by 2 seconds")
-
-    def sqls(select):
-        return [f"SELECT {select} FROM payments GROUP BY card_id OVER {w}"
-                for w in windows]
-
     aggs = ("sum", "avg", "count", "min", "max", "stdDev", "last", "prev")
-    tp = make_tp(tmp_path, sqls(
-        ", ".join(f"{a}(amount)" for a in aggs)
-        + ", countDistinct(merchant_id), count(*)"
-    ))
+    select = ", ".join(f"{a}(amount)" for a in aggs) + ", countDistinct(merchant_id), count(*)"
+    tp = make_tp(tmp_path, [f"SELECT {select} FROM payments GROUP BY card_id OVER {w}"
+                            for w in windows])
     tp.prefill(hist)
     tp.warm_up(now)
-    start = TaskProcessor(
-        "start", sqls("sum(amount), avg(amount), count(amount), stdDev(amount), count(*)"),
-        str(tmp_path / "start"), reservoir_kwargs={"chunk_events": 32},
-    )
-    start.warm_start(pd.DataFrame(hist))
     for i in range(len(hist), len(events)):
         ans = tp.process(events[i])
         for leaf in tp.plan.leaves:
@@ -438,23 +498,6 @@ def test_warm_up_matches_brute_force_and_warm_start(tmp_path):
                           field="ts" if m.agg_field == "*" else m.agg_field,
                           delay_ms=m.window.delay_ms)
             _assert_answer(ans[m.name], _reference(m.agg, vals), (i, m.name))
-        for name, got in start.process(events[i]).items():
-            _assert_answer(got, ans[name], (i, name, "warm_start"))
-
-
-def test_rejected_warm_start_writes_nothing(tmp_path):
-    """Every metric is checked before any state is written."""
-    events = _payments(n=100)
-    for select, where in (("sum(amount), max(amount)", ""),
-                          ("sum(amount)", "WHERE amount > 50 ")):
-        tp = make_tp(tmp_path / select[:3] / where[:1], [
-            "SELECT sum(amount) FROM payments GROUP BY card_id OVER sliding 1 minute",
-            f"SELECT {select} FROM payments {where}GROUP BY card_id "
-            "OVER sliding 2 minutes",
-        ])
-        with pytest.raises(ValueError, match="warm_start does not support"):
-            tp.warm_start(pd.DataFrame(events))
-        assert (len(tp.store), tp.reservoir.total_events) == (0, 0)
 
 
 ALL_AGGS = ("sum(amount), avg(amount), count(amount), stdDev(amount), max(amount), "

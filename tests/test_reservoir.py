@@ -357,6 +357,20 @@ def test_seek_releases_the_chunk_staged_for_the_old_position(tmp_path):
     assert [e["id"] for e in out] == list(range(13, 24))
 
 
+def test_seek_to_where_the_cursor_stands_keeps_its_chunks(tmp_path):
+    """A cursor sought to the start of the chunk it holds keeps that chunk
+    and the one staged for it: reading on loads nothing on demand."""
+    r = make(tmp_path, chunk_events=4)
+    it = r.iterator()  # sits at chunk 0 while history is appended
+    _fill(r, 4 * 6)
+    it.seek_after(-1)  # before the first event, where it stands
+    assert set(r.cache._d) == {1}
+    out = []
+    it.advance_until(10**9, out)
+    assert [e["id"] for e in out] == list(range(24))
+    assert r.demand_loads == 0
+
+
 # -- self-describing chunks ---------------------------------------------------------
 
 def test_schema_evolution_roundtrip(tmp_path):
